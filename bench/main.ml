@@ -1427,16 +1427,13 @@ let micro () =
   let heap_test =
     Test.make ~name:"event-heap push+pop x64"
       (Staged.stage (fun () ->
-           let h = Flipc_sim.Heap.create ~cmp:Int.compare () in
+           let h = Flipc_sim.Heap.create () in
            for i = 0 to 63 do
              Flipc_sim.Heap.push h ((i * 37) land 255) i
            done;
-           let rec drain () =
-             match Flipc_sim.Heap.pop_min h with
-             | Some _ -> drain ()
-             | None -> ()
-           in
-           drain ()))
+           while not (Flipc_sim.Heap.is_empty h) do
+             ignore (Flipc_sim.Heap.pop h : int)
+           done))
   in
   let prng = Flipc_sim.Prng.create ~seed:1 in
   let prng_test =
@@ -1943,9 +1940,27 @@ let doctor_overhead () =
     in
     (virtual_ns, host_ms, events, violations, windows)
   in
-  let v_off, h_off, _, _, _ = run `Off in
-  let v_tr, h_tr, e_tr, _, _ = run `Trace in
-  let v_mon, h_mon, e_mon, viol, _ = run `Monitor in
+  (* Host time is process CPU time (Sys.time). Each arm does one
+     discarded warm-up run, then [timed_runs] timed ones, each from a
+     fully collected heap so no run pays for an earlier one's garbage,
+     reported as median and quartiles. Every run of an arm replays the
+     same simulation, so the other figures come from its last run. *)
+  let timed_runs = 5 in
+  let arm mode =
+    ignore (run mode);
+    let runs =
+      List.init timed_runs (fun _ ->
+          Gc.full_major ();
+          run mode)
+    in
+    let host = List.map (fun (_, h, _, _, _) -> h) runs in
+    let v, _, e, viol, win = List.nth runs (timed_runs - 1) in
+    let q = Summary.percentile host in
+    (v, (q 25., q 50., q 75.), e, viol, win)
+  in
+  let v_off, h_off, _, _, _ = arm `Off in
+  let v_tr, h_tr, e_tr, _, _ = arm `Trace in
+  let v_mon, h_mon, e_mon, viol, _ = arm `Monitor in
   let file_size path =
     let ic = open_in_bin path in
     let n = in_channel_length ic in
@@ -1953,17 +1968,17 @@ let doctor_overhead () =
     n
   in
   let capture_path = Filename.temp_file "flipc_doctor_overhead" ".trace" in
-  let v_cap, h_cap, e_cap, _, _ = run (`Capture capture_path) in
+  let v_cap, h_cap, e_cap, _, _ = arm (`Capture capture_path) in
   let jsonl_bytes = file_size capture_path in
   Sys.remove capture_path;
   (* Same sink, binary frame codec (selected by the .ftrace suffix):
      identical event stream, so the byte ratio is a pure codec figure. *)
   let binary_path = Filename.temp_file "flipc_doctor_overhead" ".ftrace" in
-  let v_bin, h_bin, e_bin, _, _ = run (`Capture binary_path) in
+  let v_bin, h_bin, e_bin, _, _ = arm (`Capture binary_path) in
   let binary_bytes = file_size binary_path in
   Sys.remove binary_path;
   let shrink = float_of_int jsonl_bytes /. float_of_int (max 1 binary_bytes) in
-  let v_ser, h_ser, e_ser, _, win = run `Series in
+  let v_ser, h_ser, e_ser, _, win = arm `Series in
   let windows, series_json =
     match win with Some (n, j) -> (n, j) | None -> (0, Json.Null)
   in
@@ -1975,14 +1990,15 @@ let doctor_overhead () =
     Table.create
       ~title:
         "DOCTOR-OVERHEAD: diagnosis layer cost (400 exchanges, 2-node mesh)"
-      [ "mode"; "virtual ms"; "host ms"; "events" ]
+      [ "mode"; "virtual ms"; "host ms p50"; "host ms p25-p75"; "events" ]
   in
-  let row name v h e =
+  let row name v (p25, p50, p75) e =
     Table.add_row t
       [
         name;
         Table.cell_us (float_of_int v /. 1.0e6);
-        Table.cell_us h;
+        Table.cell_us p50;
+        Fmt.str "%.2f-%.2f" p25 p75;
         Table.cell_i e;
       ]
   in
@@ -1997,12 +2013,14 @@ let doctor_overhead () =
     identical;
   Fmt.pr "capture bytes: jsonl=%d binary=%d (%.1fx smaller)@.@." jsonl_bytes
     binary_bytes shrink;
-  let mode name v h e extra =
+  let mode name v (p25, p50, p75) e extra =
     ( name,
       Json.Obj
         ([
            ("virtual_ns", Json.Int v);
-           ("host_ms", Json.Float h);
+           ("host_ms", Json.Float p50);
+           ("host_ms_p25", Json.Float p25);
+           ("host_ms_p75", Json.Float p75);
            ("events", Json.Int e);
          ]
         @ extra) )
@@ -2010,6 +2028,7 @@ let doctor_overhead () =
   write_bench_json "doctor_overhead"
     [
       ("workload", Json.String "pingpong 2x1, 400 exchanges");
+      ("host_timed_runs", Json.Int timed_runs);
       ( "modes",
         Json.Obj
           [

@@ -19,8 +19,10 @@ let endpoint t =
 
 let to_word t = t
 
+let valid_word w = w >= 0 && w <= 0x3FFFFFFF
+
 let of_word w =
-  if w < 0 || w > 0x3FFFFFFF then invalid_arg "Address.of_word: out of range";
+  if not (valid_word w) then invalid_arg "Address.of_word: out of range";
   w
 
 let equal = Int.equal

@@ -22,6 +22,12 @@ val endpoint : t -> int
 (** {1 Word encoding (for storage in the communication buffer)} *)
 
 val to_word : t -> int
+
+(** [valid_word w] holds when [w] decodes to an address: a word whose top
+    two bits are clear. *)
+val valid_word : int -> bool
+
+(** [of_word w] raises [Invalid_argument] unless [valid_word w]. *)
 val of_word : int -> t
 
 val equal : t -> t -> bool

@@ -105,9 +105,13 @@ let image_checksum_ok bytes =
   && Checksum.fold30 (Checksum.of_bytes ~len:(len - Config.checksum_bytes) bytes)
      = checksum_of_image bytes
 
+(* Decoded before the checksum is checked (for the arrival stamp and the
+   shard route), so a damaged word must not raise: it reads as null, which
+   every caller already treats as unroutable. *)
 let dest_of_image bytes =
   if Bytes.length bytes < 4 then invalid_arg "Msg_buffer.dest_of_image: short";
-  Address.of_word (Int32.to_int (Bytes.get_int32_le bytes 0))
+  let w = Int32.to_int (Bytes.get_int32_le bytes 0) in
+  if Address.valid_word w then Address.of_word w else Address.null
 
 let msg_id_of_image bytes =
   if Bytes.length bytes < 8 then 0

@@ -63,7 +63,9 @@ val read_payload : Mem_port.t -> Layout.t -> buf:int -> ?at:int -> int -> Bytes.
 (** [(pos, len)] of the full buffer for DMA. *)
 val region : Layout.t -> buf:int -> int * int
 
-(** [dest_of_image bytes] decodes word 0 of a wire image. *)
+(** [dest_of_image bytes] decodes word 0 of a wire image; a word that is
+    not a valid address (a frame damaged on the wire) decodes to
+    {!Address.null}. *)
 val dest_of_image : Bytes.t -> Address.t
 
 (** [msg_id_of_image bytes] decodes the stamped message id from word 1 of

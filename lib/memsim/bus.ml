@@ -4,10 +4,17 @@ type t = {
   cost : Cost_model.t;
   mutable caches : Cache.t array;
   line_invalidations : (int, int) Hashtbl.t;
+  mutable dropped_dirty : bool;
+      (* set by [invalidate_others]: one of the dropped copies was Modified *)
 }
 
 let create ~cost () =
-  { cost; caches = [||]; line_invalidations = Hashtbl.create 64 }
+  {
+    cost;
+    caches = [||];
+    line_invalidations = Hashtbl.create 64;
+    dropped_dirty = false;
+  }
 
 let cost_model t = t.cost
 
@@ -28,49 +35,56 @@ let cache t port =
   t.caches.(port)
 
 let count_invalidation t line =
-  let n = Option.value ~default:0 (Hashtbl.find_opt t.line_invalidations line) in
-  Hashtbl.replace t.line_invalidations line (n + 1)
+  match Hashtbl.find t.line_invalidations line with
+  | n -> Hashtbl.replace t.line_invalidations line (n + 1)
+  | exception Not_found -> Hashtbl.add t.line_invalidations line 1
+
+(* The cache walks below run on every coherence action, so they are plain
+   loops: no closure, tuple or option per access. *)
 
 (* Invalidate [line] in every cache except [port]; returns the number of
-   remote copies dropped and whether any was Modified. *)
+   remote copies dropped and sets [t.dropped_dirty]. *)
 let invalidate_others t ~port ~line =
   let dropped = ref 0 and dirty = ref false in
-  Array.iteri
-    (fun i c ->
-      if i <> port then
-        match Cache.invalidate c ~line with
-        | None -> ()
-        | Some prior ->
-            incr dropped;
-            count_invalidation t line;
-            (Cache.stats c).invalidations_received <-
-              (Cache.stats c).invalidations_received + 1;
-            if prior = Modified then dirty := true)
-    t.caches;
-  (!dropped, !dirty)
+  for i = 0 to Array.length t.caches - 1 do
+    if i <> port then begin
+      let c = t.caches.(i) in
+      match Cache.invalidate c ~line with
+      | Invalid -> ()
+      | prior ->
+          incr dropped;
+          count_invalidation t line;
+          let stats = Cache.stats c in
+          stats.invalidations_received <- stats.invalidations_received + 1;
+          if prior = Modified then dirty := true
+    end
+  done;
+  t.dropped_dirty <- !dirty;
+  !dropped
 
 (* Downgrade remote Exclusive/Modified copies to Shared; true if a remote
    Modified copy had to be written back. *)
 let downgrade_others t ~port ~line =
   let was_dirty = ref false in
-  Array.iteri
-    (fun i c ->
-      if i <> port then
-        match Cache.find c ~line with
-        | Some Modified ->
-            was_dirty := true;
-            (Cache.stats c).writebacks <- (Cache.stats c).writebacks + 1;
-            Cache.set_state c ~line Shared
-        | Some Exclusive -> Cache.set_state c ~line Shared
-        | Some (Shared | Invalid) | None -> ())
-    t.caches;
+  for i = 0 to Array.length t.caches - 1 do
+    if i <> port then begin
+      let c = t.caches.(i) in
+      match Cache.find c ~line with
+      | Modified ->
+          was_dirty := true;
+          (Cache.stats c).writebacks <- (Cache.stats c).writebacks + 1;
+          Cache.set_state c ~line Shared
+      | Exclusive -> Cache.set_state c ~line Shared
+      | Shared | Invalid -> ()
+    end
+  done;
   !was_dirty
 
 let any_other_holds t ~port ~line =
   let held = ref false in
-  Array.iteri
-    (fun i c -> if i <> port then if Cache.find c ~line <> None then held := true)
-    t.caches;
+  for i = 0 to Array.length t.caches - 1 do
+    if i <> port && Cache.find t.caches.(i) ~line <> Invalid then held := true
+  done;
   !held
 
 let eviction_cost t = function
@@ -82,10 +96,10 @@ let read t ~port ~addr =
   let line = Cache.line_addr c addr in
   let stats = Cache.stats c in
   match Cache.find c ~line with
-  | Some (Shared | Exclusive | Modified) ->
+  | Shared | Exclusive | Modified ->
       stats.hits <- stats.hits + 1;
       t.cost.Cost_model.cache_hit_ns
-  | Some Invalid | None ->
+  | Invalid ->
       stats.misses <- stats.misses + 1;
       let remote_dirty = downgrade_others t ~port ~line in
       let shared = any_other_holds t ~port ~line in
@@ -102,27 +116,27 @@ let write t ~port ~addr =
   let line = Cache.line_addr c addr in
   let stats = Cache.stats c in
   match Cache.find c ~line with
-  | Some Modified ->
+  | Modified ->
       stats.hits <- stats.hits + 1;
       t.cost.Cost_model.cache_hit_ns
-  | Some Exclusive ->
+  | Exclusive ->
       stats.hits <- stats.hits + 1;
       Cache.set_state c ~line Modified;
       t.cost.Cost_model.cache_hit_ns
-  | Some Shared ->
+  | Shared ->
       stats.hits <- stats.hits + 1;
-      let dropped, _ = invalidate_others t ~port ~line in
+      let dropped = invalidate_others t ~port ~line in
       stats.invalidations_caused <- stats.invalidations_caused + dropped;
       Cache.set_state c ~line Modified;
       t.cost.Cost_model.cache_hit_ns
       + (dropped * t.cost.Cost_model.invalidate_ns)
-  | Some Invalid | None ->
+  | Invalid ->
       stats.misses <- stats.misses + 1;
-      let dropped, remote_dirty = invalidate_others t ~port ~line in
+      let dropped = invalidate_others t ~port ~line in
       stats.invalidations_caused <- stats.invalidations_caused + dropped;
       let evicted = Cache.insert c ~line Modified in
       let base =
-        if remote_dirty then t.cost.Cost_model.remote_dirty_ns
+        if t.dropped_dirty then t.cost.Cost_model.remote_dirty_ns
         else t.cost.Cost_model.cache_miss_ns
       in
       base
@@ -136,11 +150,9 @@ let locked_rmw t ~port ~addr =
   stats.locked_rmws <- stats.locked_rmws + 1;
   (* No cache residency for locks: drop every cached copy, including our
      own, and go straight to memory with the bus locked. *)
-  let dropped, _remote_dirty = invalidate_others t ~port ~line in
+  let dropped = invalidate_others t ~port ~line in
   stats.invalidations_caused <- stats.invalidations_caused + dropped;
-  (match Cache.invalidate c ~line with
-  | Some _ -> count_invalidation t line
-  | None -> ());
+  if Cache.invalidate c ~line <> Invalid then count_invalidation t line;
   t.cost.Cost_model.bus_locked_rmw_ns
 
 let dma_access t ~write ~addr ~len =
@@ -155,9 +167,9 @@ let dma_access t ~write ~addr ~len =
         let line = ref first in
         while !line < addr + len do
           if write then begin
-            let dropped, dirty = invalidate_others t ~port:(-1) ~line:!line in
-            ignore dropped;
-            if dirty then stall := !stall + t.cost.Cost_model.writeback_ns
+            ignore (invalidate_others t ~port:(-1) ~line:!line : int);
+            if t.dropped_dirty then
+              stall := !stall + t.cost.Cost_model.writeback_ns
           end
           else if downgrade_others t ~port:(-1) ~line:!line then
             stall := !stall + t.cost.Cost_model.writeback_ns;

@@ -66,73 +66,84 @@ let reset_stats t =
 
 let set_of t line = t.sets.((line / t.line_bytes) mod Array.length t.sets)
 
-let find_way t line =
-  let set = set_of t line in
-  let rec scan i =
-    if i >= Array.length set then None
-    else if set.(i).state <> Invalid && set.(i).tag = line then Some set.(i)
-    else scan (i + 1)
-  in
-  scan 0
+(* The index of the way holding [line] in [set], or -1. *)
+let rec way_index set line i =
+  if i >= Array.length set then -1
+  else
+    let way = set.(i) in
+    match way.state with
+    | Invalid -> way_index set line (i + 1)
+    | Shared | Exclusive | Modified ->
+        if way.tag = line then i else way_index set line (i + 1)
 
 let touch t way =
   t.clock <- t.clock + 1;
   way.last_use <- t.clock
 
 let find t ~line =
-  match find_way t line with
-  | None -> None
-  | Some way ->
-      touch t way;
-      Some way.state
+  let set = set_of t line in
+  let i = way_index set line 0 in
+  if i < 0 then Invalid
+  else begin
+    let way = set.(i) in
+    touch t way;
+    way.state
+  end
 
 let set_state t ~line state =
   if state = Invalid then invalid_arg "Cache.set_state: use invalidate";
-  match find_way t line with
-  | None -> invalid_arg "Cache.set_state: line not present"
-  | Some way ->
-      touch t way;
-      way.state <- state
+  let set = set_of t line in
+  let i = way_index set line 0 in
+  if i < 0 then invalid_arg "Cache.set_state: line not present";
+  touch t set.(i);
+  set.(i).state <- state
+
+(* Prefer an invalid way; otherwise the least recently used one. *)
+let victim set =
+  let best = ref 0 in
+  for i = 1 to Array.length set - 1 do
+    let b = set.(!best) and w = set.(i) in
+    if b.state <> Invalid && (w.state = Invalid || w.last_use < b.last_use)
+    then best := i
+  done;
+  set.(!best)
 
 let insert t ~line state =
   if state = Invalid then invalid_arg "Cache.insert: Invalid state";
-  match find_way t line with
-  | Some way ->
-      touch t way;
-      way.state <- state;
-      None
-  | None ->
-      let set = set_of t line in
-      (* Prefer an invalid way; otherwise evict the LRU way. *)
-      let victim = ref set.(0) in
-      Array.iter
-        (fun w ->
-          if !victim.state <> Invalid
-             && (w.state = Invalid || w.last_use < !victim.last_use)
-          then victim := w)
-        set;
-      let evicted =
-        if !victim.state = Invalid then None
-        else begin
-          t.stats.evictions <- t.stats.evictions + 1;
-          if !victim.state = Modified then
-            t.stats.writebacks <- t.stats.writebacks + 1;
-          Some (!victim.tag, !victim.state)
-        end
-      in
-      !victim.tag <- line;
-      !victim.state <- state;
-      touch t !victim;
-      evicted
+  let set = set_of t line in
+  let i = way_index set line 0 in
+  if i >= 0 then begin
+    touch t set.(i);
+    set.(i).state <- state;
+    None
+  end
+  else begin
+    let way = victim set in
+    let evicted =
+      if way.state = Invalid then None
+      else begin
+        t.stats.evictions <- t.stats.evictions + 1;
+        if way.state = Modified then t.stats.writebacks <- t.stats.writebacks + 1;
+        Some (way.tag, way.state)
+      end
+    in
+    way.tag <- line;
+    way.state <- state;
+    touch t way;
+    evicted
+  end
 
 let invalidate t ~line =
-  match find_way t line with
-  | None -> None
-  | Some way ->
-      let prior = way.state in
-      way.state <- Invalid;
-      way.tag <- -1;
-      Some prior
+  let set = set_of t line in
+  let i = way_index set line 0 in
+  if i < 0 then Invalid
+  else begin
+    let way = set.(i) in
+    let prior = way.state in
+    way.state <- Invalid;
+    way.tag <- -1;
+    prior
+  end
 
 let flush t =
   let dirty = ref 0 in

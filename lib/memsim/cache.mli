@@ -35,10 +35,14 @@ val line_addr : t -> int -> int
 val stats : t -> stats
 val reset_stats : t -> unit
 
-(** {1 Tag-store operations (used by {!Bus})} *)
+(** {1 Tag-store operations (used by {!Bus})}
 
-(** [find t ~line] is the state of [line] if present (never [Invalid]). *)
-val find : t -> line:int -> state option
+    Lookups run on every simulated memory access, so they report absence
+    as [Invalid] rather than allocating an option. *)
+
+(** [find t ~line] is the state of [line], [Invalid] when it is absent. A
+    hit counts as a use for LRU replacement. *)
+val find : t -> line:int -> state
 
 (** [set_state t ~line s] updates a present line's state; raises if the line
     is absent or [s] is [Invalid] (use {!invalidate}). *)
@@ -48,9 +52,9 @@ val set_state : t -> line:int -> state -> unit
     of its set if needed. Returns the evicted line and state, if any. *)
 val insert : t -> line:int -> state -> (int * state) option
 
-(** [invalidate t ~line] drops the line; returns its prior state if it was
-    present. *)
-val invalidate : t -> line:int -> state option
+(** [invalidate t ~line] drops the line and returns its prior state,
+    [Invalid] when it was absent. *)
+val invalidate : t -> line:int -> state
 
 (** [flush t] invalidates everything (cold cache); returns the number of
     Modified lines dropped. Statistics are preserved. *)

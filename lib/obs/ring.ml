@@ -1,5 +1,6 @@
 type 'a t = {
-  slots : 'a option array;
+  capacity : int;
+  mutable slots : 'a option array; (* empty until the first push *)
   mutable head : int; (* index of the oldest element *)
   mutable len : int;
   mutable dropped : int;
@@ -7,15 +8,16 @@ type 'a t = {
 
 let create ~capacity =
   if capacity < 1 then invalid_arg "Ring.create: capacity < 1";
-  { slots = Array.make capacity None; head = 0; len = 0; dropped = 0 }
+  { capacity; slots = [||]; head = 0; len = 0; dropped = 0 }
 
-let capacity t = Array.length t.slots
+let capacity t = t.capacity
 let length t = t.len
 let dropped t = t.dropped
 let is_empty t = t.len = 0
 
 let push t x =
-  let cap = Array.length t.slots in
+  let cap = t.capacity in
+  if Array.length t.slots = 0 then t.slots <- Array.make cap None;
   if t.len = cap then begin
     t.slots.(t.head) <- Some x;
     t.head <- (t.head + 1) mod cap;
@@ -27,7 +29,7 @@ let push t x =
   end
 
 let iter t f =
-  let cap = Array.length t.slots in
+  let cap = t.capacity in
   for i = 0 to t.len - 1 do
     match t.slots.((t.head + i) mod cap) with
     | Some x -> f x

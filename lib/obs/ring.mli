@@ -1,10 +1,12 @@
 (** Fixed-capacity drop-oldest ring buffer.
 
     The storage discipline for every bounded observability store (event
-    traces, latency sample windows): pushes never fail and never grow
-    memory; once full, each push overwrites the oldest element and bumps
-    the {!dropped} counter, so a long soak keeps the most recent window
-    and an honest account of what it shed. *)
+    traces, latency sample windows): pushes never fail, and memory is
+    taken once, at the first push, so a ring that never records (every
+    machine's tracer while tracing is off) costs nothing; once full, each
+    push overwrites the oldest element and bumps the {!dropped} counter,
+    so a long soak keeps the most recent window and an honest account of
+    what it shed. *)
 
 type 'a t
 

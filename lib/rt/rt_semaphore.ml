@@ -1,22 +1,12 @@
 module Heap = Flipc_sim.Heap
 
-type key = { neg_priority : int; kseq : int }
-
-type t = {
-  sched : Sched.t;
-  mutable value : int;
-  waiting : (key, Sched.thread) Heap.t;
-  mutable seq : int;
-}
-
-let compare_key a b =
-  match Int.compare a.neg_priority b.neg_priority with
-  | 0 -> Int.compare a.kseq b.kseq
-  | c -> c
+(* [waiting] is keyed by negated priority: highest priority first, first
+   come first served within a priority. *)
+type t = { sched : Sched.t; mutable value : int; waiting : Sched.thread Heap.t }
 
 let create ?(initial = 0) sched =
   if initial < 0 then invalid_arg "Rt_semaphore.create: negative";
-  { sched; value = initial; waiting = Heap.create ~cmp:compare_key (); seq = 0 }
+  { sched; value = initial; waiting = Heap.create () }
 
 let value t = t.value
 let waiters t = Heap.size t.waiting
@@ -24,8 +14,7 @@ let waiters t = Heap.size t.waiting
 let rec wait t thr =
   if t.value > 0 then t.value <- t.value - 1
   else begin
-    t.seq <- t.seq + 1;
-    Heap.push t.waiting { neg_priority = -Sched.priority thr; kseq = t.seq } thr;
+    Heap.push t.waiting (-Sched.priority thr) thr;
     Sched.block thr;
     (* The post incremented the value; recheck, as another thread may have
        consumed it first (classic Mesa-style semantics). *)
@@ -41,6 +30,4 @@ let try_wait t =
 
 let post t =
   t.value <- t.value + 1;
-  match Heap.pop_min t.waiting with
-  | Some (_, thr) -> Sched.make_ready thr
-  | None -> ()
+  if not (Heap.is_empty t.waiting) then Sched.make_ready (Heap.pop t.waiting)

@@ -3,16 +3,15 @@ module Heap = Flipc_sim.Heap
 
 type state = Contending | Running | Blocked | Done
 
+(* [ready] is keyed by negated priority: highest priority first, first
+   come first served within a priority. *)
 type t = {
   engine : Engine.t;
   cpus : int;
-  ready : (key, thread) Heap.t;
+  ready : thread Heap.t;
   mutable running : int;
-  mutable seq : int;
   mutable dispatches : int;
 }
-
-and key = { neg_priority : int; kseq : int }
 
 and thread = {
   tname : string;
@@ -23,21 +22,9 @@ and thread = {
   mutable resume : (unit -> unit) option;
 }
 
-let compare_key a b =
-  match Int.compare a.neg_priority b.neg_priority with
-  | 0 -> Int.compare a.kseq b.kseq
-  | c -> c
-
 let create ~engine ~cpus =
   if cpus <= 0 then invalid_arg "Sched.create: cpus must be positive";
-  {
-    engine;
-    cpus;
-    ready = Heap.create ~cmp:compare_key ();
-    running = 0;
-    seq = 0;
-    dispatches = 0;
-  }
+  { engine; cpus; ready = Heap.create (); running = 0; dispatches = 0 }
 
 let engine t = t.engine
 let cpus t = t.cpus
@@ -48,28 +35,24 @@ let priority thr = thr.tpriority
 let set_priority thr p = thr.tpriority <- p
 let is_done thr = thr.state = Done
 
-let enqueue_ready thr =
-  let t = thr.sched in
-  t.seq <- t.seq + 1;
-  Heap.push t.ready { neg_priority = -thr.tpriority; kseq = t.seq } thr
+let enqueue_ready thr = Heap.push thr.sched.ready (-thr.tpriority) thr
 
 (* Hand free CPUs to the highest-priority ready threads. The resume thunk
    only schedules the continuation on the simulation queue, so dispatch
    never transfers control directly. *)
 let rec dispatch t =
-  if t.running < t.cpus then
-    match Heap.pop_min t.ready with
-    | None -> ()
-    | Some (_, thr) ->
-        t.running <- t.running + 1;
-        t.dispatches <- t.dispatches + 1;
-        thr.state <- Running;
-        (match thr.resume with
-        | Some resume ->
-            thr.resume <- None;
-            resume ()
-        | None -> assert false);
-        dispatch t
+  if t.running < t.cpus && not (Heap.is_empty t.ready) then begin
+    let thr = Heap.pop t.ready in
+    t.running <- t.running + 1;
+    t.dispatches <- t.dispatches + 1;
+    thr.state <- Running;
+    (match thr.resume with
+    | Some resume ->
+        thr.resume <- None;
+        resume ()
+    | None -> assert false);
+    dispatch t
+  end
 
 (* Queue the calling thread for a CPU and suspend until dispatched. *)
 let contend thr =

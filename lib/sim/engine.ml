@@ -1,9 +1,13 @@
-type key = { time : int; seq : int }
+open Effect.Deep
 
+(* The queue holds each parked process's continuation itself, keyed by
+   the virtual time it wakes at; the stable heap keeps simultaneous
+   wake-ups in the order they were queued. *)
 type t = {
   mutable now : int;
-  mutable seq : int;
-  queue : (key, unit -> unit) Heap.t;
+  mutable limit : int;  (* the running [run]'s [~until]; [min_int] when idle *)
+  mutable wake : int;  (* set by an effect handler for its [park] closure *)
+  queue : (unit, unit) continuation Heap.t;
   mutable live : int;
   mutable steps : int;
   mutable failure : (string * exn) option;
@@ -19,19 +23,16 @@ let () =
     | _ -> None)
 
 type _ Effect.t +=
+  | Start : int -> unit Effect.t
   | Delay : int -> unit Effect.t
   | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
-
-let compare_key a b =
-  match Int.compare a.time b.time with
-  | 0 -> Int.compare a.seq b.seq
-  | c -> c
 
 let create () =
   {
     now = 0;
-    seq = 0;
-    queue = Heap.create ~cmp:compare_key ();
+    limit = min_int;
+    wake = 0;
+    queue = Heap.create ();
     live = 0;
     steps = 0;
     failure = None;
@@ -41,12 +42,23 @@ let now t = t.now
 let steps t = t.steps
 let live_processes t = t.live
 
-let schedule t time thunk =
-  t.seq <- t.seq + 1;
-  Heap.push t.queue { time; seq = t.seq } thunk
+(* The engine whose [run] is executing on this domain, or [idle]. Domain
+   local because each domain may run its own engine at once. *)
+let idle = create ()
+let current = Domain.DLS.new_key (fun () -> idle)
+
+let resumer t k =
+  let resumed = ref false in
+  fun () ->
+    if not !resumed then begin
+      resumed := true;
+      Heap.push t.queue t.now k
+    end
 
 let handler t name =
-  let open Effect.Deep in
+  (* Allocated once per process: a start or delay stores its wake time in
+     [t.wake] and returns this, so parking allocates no closure. *)
+  let park = Some (fun k -> Heap.push t.queue t.wake k) in
   {
     retc = (fun () -> t.live <- t.live - 1);
     exnc =
@@ -54,57 +66,83 @@ let handler t name =
         t.live <- t.live - 1;
         if t.failure = None then t.failure <- Some (name, e));
     effc =
-      (fun (type b) (eff : b Effect.t) ->
+      (fun (type b) (eff : b Effect.t) :
+           ((b, unit) continuation -> unit) option ->
         match eff with
-        | Delay d ->
+        | Start time ->
+            t.wake <- time;
+            park
+        | Delay d when d >= 0 ->
+            t.wake <- t.now + d;
+            park
+        | Delay _ ->
             Some
-              (fun (k : (b, unit) continuation) ->
-                if d < 0 then
-                  discontinue k (Invalid_argument "Engine.delay: negative")
-                else schedule t (t.now + d) (fun () -> continue k ()))
-        | Suspend register ->
-            Some
-              (fun (k : (b, unit) continuation) ->
-                let resumed = ref false in
-                register (fun () ->
-                    if not !resumed then begin
-                      resumed := true;
-                      schedule t t.now (fun () -> continue k ())
-                    end))
+              (fun k ->
+                discontinue k (Invalid_argument "Engine.delay: negative"))
+        | Suspend register -> Some (fun k -> register (resumer t k))
         | _ -> None);
   }
 
-let spawn ?(name = "process") t f =
+(* The fiber starts at once and parks on its start event, so the queue
+   only ever holds continuations. *)
+let start t name time f =
   t.live <- t.live + 1;
-  schedule t t.now (fun () -> Effect.Deep.match_with f () (handler t name))
+  match_with
+    (fun () ->
+      Effect.perform (Start time);
+      f ())
+    () (handler t name)
+
+let spawn ?(name = "process") t f = start t name t.now f
 
 let spawn_at ?(name = "process") t time f =
   if time < t.now then invalid_arg "Engine.spawn_at: time is in the past";
-  t.live <- t.live + 1;
-  schedule t time (fun () -> Effect.Deep.match_with f () (handler t name))
+  start t name time f
+
+let rec loop t =
+  match t.failure with
+  | Some (name, e) ->
+      t.failure <- None;
+      raise (Process_failure (name, e))
+  | None ->
+      if not (Heap.is_empty t.queue) then begin
+        let time = Heap.min_key t.queue in
+        if time > t.limit then t.now <- t.limit
+        else begin
+          let k = Heap.pop t.queue in
+          t.now <- time;
+          t.steps <- t.steps + 1;
+          continue k ();
+          loop t
+        end
+      end
 
 let run ?until t =
-  let limit = match until with None -> max_int | Some u -> u in
-  let rec loop () =
-    match t.failure with
-    | Some (name, e) ->
-        t.failure <- None;
-        raise (Process_failure (name, e))
-    | None -> (
-        match Heap.peek_min t.queue with
-        | None -> ()
-        | Some ({ time; _ }, _) when time > limit -> t.now <- limit
-        | Some _ ->
-            (match Heap.pop_min t.queue with
-            | Some ({ time; _ }, thunk) ->
-                t.now <- time;
-                t.steps <- t.steps + 1;
-                thunk ()
-            | None -> assert false);
-            loop ())
-  in
-  loop ()
+  let outer = Domain.DLS.get current and outer_limit = t.limit in
+  Domain.DLS.set current t;
+  t.limit <- Option.value until ~default:max_int;
+  Fun.protect
+    ~finally:(fun () ->
+      t.limit <- outer_limit;
+      Domain.DLS.set current outer)
+    (fun () -> loop t)
 
-let delay d = Effect.perform (Delay d)
+(* When nothing is queued at or before the wake time (and the run goes
+   that far), the slow path would push the caller and pop it straight
+   back: same order, same [now], one step. Do that in place. Outside any
+   run [current] is [idle], whose limit refuses, so the effect goes
+   unhandled as before. *)
+let delay d =
+  let t = Domain.DLS.get current in
+  let wake = t.now + d in
+  if
+    d >= 0 && wake <= t.limit
+    && (Heap.is_empty t.queue || Heap.min_key t.queue > wake)
+  then begin
+    t.now <- wake;
+    t.steps <- t.steps + 1
+  end
+  else Effect.perform (Delay d)
+
 let yield () = delay 0
 let suspend register = Effect.perform (Suspend register)

@@ -23,8 +23,9 @@ val steps : t -> int
 (** Number of spawned processes that have not yet returned. *)
 val live_processes : t -> int
 
-(** [spawn t ?name f] schedules process [f] to start at the current time.
-    [name] labels errors. Callable from inside or outside processes. *)
+(** [spawn t ?name f] schedules process [f] to start at the current time,
+    after everything already queued for that time. [name] labels errors.
+    Callable from inside or outside processes. *)
 val spawn : ?name:string -> t -> (unit -> unit) -> unit
 
 (** [spawn_at t time f] schedules [f] to start at absolute [time], which must
@@ -44,7 +45,15 @@ exception Process_failure of string * exn
 (** {1 Operations available inside a process} *)
 
 (** [delay d] suspends the calling process for [d] virtual nanoseconds.
-    Raises [Effect.Unhandled] if called outside a process. *)
+    Raises [Effect.Unhandled] if called outside a process.
+
+    When the caller is provably the next to run — [d >= 0], [now + d] is
+    within the current [run ~until], and nothing is queued at or before
+    [now + d] — [delay] returns in place: it advances [now] and counts one
+    step, exactly as parking and being popped straight back would, so the
+    event order, [now] and [steps] are the same either way. The running
+    engine is found through a domain-local slot that [run] sets and
+    restores. *)
 val delay : Vtime.t -> unit
 
 (** [yield ()] is [delay Vtime.zero]: lets other events at the same time

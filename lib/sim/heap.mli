@@ -1,22 +1,32 @@
-(** Array-based binary min-heap, keyed by a caller-supplied total order.
+(** Stable binary min-heap on [int] keys.
 
-    Used as the simulator's event queue; keys are [(time, sequence)] pairs so
-    that simultaneous events preserve insertion order. *)
+    Keys, push sequence numbers and values live in three parallel arrays,
+    so a push or pop allocates nothing (beyond the occasional doubling of
+    the arrays). Equal keys pop in push order: the simulator's event queue
+    keys by virtual time and relies on this for first-in first-out order
+    among simultaneous events; the real-time scheduler keys by negated
+    priority for first-come first-served order within a priority.
 
-type ('k, 'v) t
+    A popped value may stay reachable from the heap until its slot is
+    reused. *)
 
-(** [create ~cmp ()] is an empty heap ordered by [cmp]. *)
-val create : cmp:('k -> 'k -> int) -> unit -> ('k, 'v) t
+type 'v t
 
-val size : ('k, 'v) t -> int
-val is_empty : ('k, 'v) t -> bool
-val push : ('k, 'v) t -> 'k -> 'v -> unit
+val create : unit -> 'v t
+val size : 'v t -> int
+val is_empty : 'v t -> bool
 
-(** [pop_min h] removes and returns the minimum binding, or [None] if the
-    heap is empty. *)
-val pop_min : ('k, 'v) t -> ('k * 'v) option
+(** [push h key v] adds [v] under [key], after every entry already queued
+    under an equal key. *)
+val push : 'v t -> int -> 'v -> unit
 
-(** [peek_min h] returns the minimum binding without removing it. *)
-val peek_min : ('k, 'v) t -> ('k * 'v) option
+(** [min_key h] is the smallest key. Raises [Invalid_argument] if [h] is
+    empty. *)
+val min_key : 'v t -> int
 
-val clear : ('k, 'v) t -> unit
+(** [pop h] removes and returns the value with the smallest key, the
+    earliest pushed among equal keys. Raises [Invalid_argument] if [h] is
+    empty. *)
+val pop : 'v t -> 'v
+
+val clear : 'v t -> unit

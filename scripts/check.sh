@@ -49,6 +49,13 @@ else
   grep -q '"traceEvents":\[' "$obs_tmp/trace.json"
 fi
 
+echo "== perfbench virtual pin =="
+# The simulator's host-side optimisations must not move one virtual
+# event: every virtual metric of the benchmark's three workloads, plain
+# and traced, must equal its pinned value exactly (see the script for
+# the metric list; --update rewrites the pin).
+sh scripts/perfbench_virtual.sh
+
 echo "== perf smoke =="
 # Scheduler work-proportionality gate: a short ping-pong must keep the
 # engine's cached schedule stable (--max-rebuilds exits 1 when any

@@ -466,6 +466,47 @@ let test_bad_destination () =
   let s0 = Msg_engine.stats (Machine.msg_engine (Machine.node machine 0)) in
   check "bad dest counted" 1 s0.Msg_engine.bad_dest
 
+(* A wire bit flip that sets either top bit of a frame's destination word
+   leaves no decodable address. The frame must be counted — as a checksum
+   failure when frames carry checksums, as unroutable when they do not —
+   whether one engine or a shard router receives it, and the NIC callback
+   that hands it over must survive. *)
+let test_corrupt_destination_word () =
+  List.iter
+    (fun (word, checksum, shards) ->
+      let config =
+        { Config.default with frame_checksum = checksum; engine_shards = shards }
+      in
+      let machine = mesh2 ~config () in
+      let image = Bytes.make config.Config.message_bytes '\000' in
+      Bytes.set_int32_le image 0 (Int32.of_int word);
+      Sim.spawn (Machine.sim machine) (fun () ->
+          Flipc_net.Nic.send
+            (Machine.nic (Machine.node machine 0))
+            (Flipc_net.Packet.make ~src:0 ~dst:1 ~protocol:Flipc_net.Packet.Flipc
+               image));
+      finish machine;
+      let stats =
+        List.map Msg_engine.stats (Machine.msg_engines (Machine.node machine 1))
+      in
+      let sum field = List.fold_left (fun acc s -> acc + field s) 0 stats in
+      let label what =
+        Printf.sprintf "word %#x, checksum %b, %d shard(s): %s" word checksum
+          shards what
+      in
+      check (label "corrupt frames")
+        (if checksum then 1 else 0)
+        (sum (fun s -> s.Msg_engine.corrupt_frames));
+      check (label "unroutable")
+        (if checksum then 0 else 1)
+        (sum (fun s -> s.Msg_engine.unroutable)))
+    (List.concat_map
+       (fun word ->
+         List.concat_map
+           (fun checksum -> List.map (fun shards -> (word, checksum, shards)) [ 1; 2 ])
+           [ true; false ])
+       [ 0x8000_0000; 0xC000_0000 ])
+
 (* API error paths. *)
 let test_api_errors () =
   let machine = mesh2 () in
@@ -776,6 +817,8 @@ let () =
           Alcotest.test_case "validity checks" `Quick
             test_validity_rejects_corrupt_slot;
           Alcotest.test_case "bad destination" `Quick test_bad_destination;
+          Alcotest.test_case "corrupt destination word" `Quick
+            test_corrupt_destination_word;
           Alcotest.test_case "api errors" `Quick test_api_errors;
           Alcotest.test_case "buffer exhaustion" `Quick test_buffer_exhaustion;
         ] );

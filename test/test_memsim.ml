@@ -61,18 +61,18 @@ let test_cache_geometry () =
 
 let test_cache_insert_find () =
   let c = Cache.create ~name:"t" () in
-  check_bool "miss initially" true (Cache.find c ~line:0 = None);
+  check_bool "miss initially" true (Cache.find c ~line:0 = Cache.Invalid);
   ignore (Cache.insert c ~line:0 Cache.Exclusive);
-  check_bool "hit after insert" true (Cache.find c ~line:0 = Some Cache.Exclusive);
+  check_bool "hit after insert" true (Cache.find c ~line:0 = Cache.Exclusive);
   Cache.set_state c ~line:0 Cache.Modified;
-  check_bool "state updated" true (Cache.find c ~line:0 = Some Cache.Modified)
+  check_bool "state updated" true (Cache.find c ~line:0 = Cache.Modified)
 
 let test_cache_invalidate () =
   let c = Cache.create ~name:"t" () in
   ignore (Cache.insert c ~line:32 Cache.Shared);
-  check_bool "present" true (Cache.invalidate c ~line:32 = Some Cache.Shared);
-  check_bool "gone" true (Cache.find c ~line:32 = None);
-  check_bool "absent invalidate" true (Cache.invalidate c ~line:32 = None)
+  check_bool "present" true (Cache.invalidate c ~line:32 = Cache.Shared);
+  check_bool "gone" true (Cache.find c ~line:32 = Cache.Invalid);
+  check_bool "absent invalidate" true (Cache.invalidate c ~line:32 = Cache.Invalid)
 
 let test_cache_eviction_lru () =
   (* 2 lines x 1 set: tiny cache to force eviction. *)
@@ -97,7 +97,7 @@ let test_cache_flush () =
   ignore (Cache.insert c ~line:0 Cache.Modified);
   ignore (Cache.insert c ~line:32 Cache.Shared);
   check "dirty flushed" 1 (Cache.flush c);
-  check_bool "all gone" true (Cache.find c ~line:0 = None)
+  check_bool "all gone" true (Cache.find c ~line:0 = Cache.Invalid)
 
 let test_cache_set_conflict () =
   (* Two lines mapping to the same set coexist up to the associativity. *)
@@ -106,15 +106,15 @@ let test_cache_set_conflict () =
   ignore (Cache.insert c ~line:0 Cache.Exclusive);
   ignore (Cache.insert c ~line:64 Cache.Exclusive);
   check_bool "both ways used" true
-    (Cache.find c ~line:0 <> None && Cache.find c ~line:64 <> None);
+    (Cache.find c ~line:0 <> Cache.Invalid && Cache.find c ~line:64 <> Cache.Invalid);
   ignore (Cache.insert c ~line:128 Cache.Exclusive);
   let present =
-    List.filter (fun l -> Cache.find c ~line:l <> None) [ 0; 64; 128 ]
+    List.filter (fun l -> Cache.find c ~line:l <> Cache.Invalid) [ 0; 64; 128 ]
   in
   check "associativity bounds residency" 2 (List.length present);
   (* The untouched other set is unaffected. *)
   ignore (Cache.insert c ~line:32 Cache.Shared);
-  check_bool "other set intact" true (Cache.find c ~line:32 = Some Cache.Shared)
+  check_bool "other set intact" true (Cache.find c ~line:32 = Cache.Shared)
 
 (* --- Bus / MESI --- *)
 
@@ -129,19 +129,19 @@ let state c line = Cache.find c ~line
 let test_bus_read_exclusive_then_shared () =
   let bus, caches = mk_bus () in
   ignore (Bus.read bus ~port:0 ~addr:64);
-  check_bool "E on sole read" true (state caches.(0) 64 = Some Cache.Exclusive);
+  check_bool "E on sole read" true (state caches.(0) 64 = Cache.Exclusive);
   ignore (Bus.read bus ~port:1 ~addr:64);
   check_bool "both S" true
-    (state caches.(0) 64 = Some Cache.Shared
-    && state caches.(1) 64 = Some Cache.Shared)
+    (state caches.(0) 64 = Cache.Shared
+    && state caches.(1) 64 = Cache.Shared)
 
 let test_bus_write_invalidates () =
   let bus, caches = mk_bus () in
   ignore (Bus.read bus ~port:0 ~addr:0);
   ignore (Bus.read bus ~port:1 ~addr:0);
   ignore (Bus.write bus ~port:0 ~addr:0);
-  check_bool "writer M" true (state caches.(0) 0 = Some Cache.Modified);
-  check_bool "other I" true (state caches.(1) 0 = None);
+  check_bool "writer M" true (state caches.(0) 0 = Cache.Modified);
+  check_bool "other I" true (state caches.(1) 0 = Cache.Invalid);
   check "inval received" 1 (Cache.stats caches.(1)).Cache.invalidations_received;
   check "inval caused" 1 (Cache.stats caches.(0)).Cache.invalidations_caused
 
@@ -150,7 +150,7 @@ let test_bus_remote_dirty_read_costs_more () =
   ignore (Bus.write bus ~port:0 ~addr:0);
   let cost = Bus.read bus ~port:1 ~addr:0 in
   check "remote dirty cost" Cost_model.paragon.Cost_model.remote_dirty_ns cost;
-  check_bool "owner downgraded" true (state caches.(0) 0 = Some Cache.Shared);
+  check_bool "owner downgraded" true (state caches.(0) 0 = Cache.Shared);
   check "owner writeback" 1 (Cache.stats caches.(0)).Cache.writebacks
 
 let test_bus_write_hit_cheap () =
@@ -166,7 +166,7 @@ let test_bus_locked_rmw_no_residency () =
   let cost = Bus.locked_rmw bus ~port:0 ~addr:0 in
   check "bus-locked cost" Cost_model.paragon.Cost_model.bus_locked_rmw_ns cost;
   check_bool "no residency anywhere" true
-    (state caches.(0) 0 = None && state caches.(1) 0 = None);
+    (state caches.(0) 0 = Cache.Invalid && state caches.(1) 0 = Cache.Invalid);
   check "rmw counted" 1 (Cache.stats caches.(0)).Cache.locked_rmws
 
 let test_bus_dma_write_invalidates () =
@@ -176,14 +176,14 @@ let test_bus_dma_write_invalidates () =
   let stall = Bus.dma_access bus ~write:true ~addr:0 ~len:64 in
   check "clean lines no stall" 0 stall;
   check_bool "both lines invalidated" true
-    (state caches.(0) 0 = None && state caches.(0) 32 = None)
+    (state caches.(0) 0 = Cache.Invalid && state caches.(0) 32 = Cache.Invalid)
 
 let test_bus_dma_read_snoops_dirty () =
   let bus, caches = mk_bus () in
   ignore (Bus.write bus ~port:0 ~addr:0);
   let stall = Bus.dma_access bus ~write:false ~addr:0 ~len:32 in
   check "writeback stall" Cost_model.paragon.Cost_model.writeback_ns stall;
-  check_bool "owner downgraded to S" true (state caches.(0) 0 = Some Cache.Shared)
+  check_bool "owner downgraded to S" true (state caches.(0) 0 = Cache.Shared)
 
 let test_bus_invalidations_in_range () =
   let bus, _ = mk_bus () in
@@ -198,6 +198,27 @@ let test_bus_invalidations_in_range () =
   | _ -> Alcotest.fail "hot line count");
   Bus.reset_stats bus;
   check "reset" 0 (Bus.invalidations_in bus ~lo:0 ~hi:96)
+
+(* Cache hits are the common case of every simulated access: a hit walks
+   the tag store and returns a cost without allocating. The bound leaves
+   room for the two boxed floats of the measurement itself. *)
+let test_bus_hits_allocation_free () =
+  let bus, caches = mk_bus () in
+  let words f =
+    let before = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      ignore (f () : int)
+    done;
+    Gc.minor_words () -. before
+  in
+  ignore (Bus.write bus ~port:0 ~addr:0);
+  let reads = words (fun () -> Bus.read bus ~port:0 ~addr:0) in
+  let writes = words (fun () -> Bus.write bus ~port:0 ~addr:0) in
+  check "all hits" 20_000 (Cache.stats caches.(0)).Cache.hits;
+  check_bool (Printf.sprintf "10k read hits allocated %.0f words" reads) true
+    (reads < 10.);
+  check_bool (Printf.sprintf "10k write hits allocated %.0f words" writes) true
+    (writes < 10.)
 
 (* MESI invariant: at most one Modified holder per line, and a Modified
    holder excludes all other states. Checked over random operation
@@ -219,7 +240,8 @@ let mesi_invariant_prop =
             (fun line ->
               let states =
                 Array.to_list caches
-                |> List.filter_map (fun c -> Cache.find c ~line)
+                |> List.map (fun c -> Cache.find c ~line)
+                |> List.filter (fun s -> s <> Cache.Invalid)
               in
               let modified =
                 List.length (List.filter (fun s -> s = Cache.Modified) states)
@@ -330,6 +352,8 @@ let () =
             test_bus_dma_read_snoops_dirty;
           Alcotest.test_case "invalidation ranges" `Quick
             test_bus_invalidations_in_range;
+          Alcotest.test_case "hits allocation-free" `Quick
+            test_bus_hits_allocation_free;
           QCheck_alcotest.to_alcotest mesi_invariant_prop;
         ] );
       ( "mem_port",

@@ -33,54 +33,62 @@ let test_vtime_pp () =
 
 (* --- Heap --- *)
 
+let drain h =
+  let rec go acc = if Heap.is_empty h then List.rev acc else go (Heap.pop h :: acc) in
+  go []
+
 let test_heap_ordering () =
-  let h = Heap.create ~cmp:Int.compare () in
+  let h = Heap.create () in
   List.iter (fun k -> Heap.push h k k) [ 5; 3; 8; 1; 9; 2; 7 ];
-  let out = ref [] in
-  let rec drain () =
-    match Heap.pop_min h with
-    | Some (k, _) ->
-        out := k :: !out;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 5; 7; 8; 9 ] (List.rev !out)
+  Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 5; 7; 8; 9 ] (drain h)
 
 let test_heap_peek () =
-  let h = Heap.create ~cmp:Int.compare () in
-  Alcotest.(check bool) "empty peek" true (Heap.peek_min h = None);
+  let h = Heap.create () in
+  Alcotest.check_raises "empty min_key" (Invalid_argument "Heap.min_key: empty")
+    (fun () -> ignore (Heap.min_key h));
   Heap.push h 4 "four";
   Heap.push h 2 "two";
-  (match Heap.peek_min h with
-  | Some (2, "two") -> ()
-  | _ -> Alcotest.fail "peek should be min");
-  check "size unchanged" 2 (Heap.size h)
+  check "min key" 2 (Heap.min_key h);
+  check "size unchanged" 2 (Heap.size h);
+  Alcotest.(check string) "pop min" "two" (Heap.pop h)
 
 let test_heap_grow () =
-  let h = Heap.create ~cmp:Int.compare () in
+  let h = Heap.create () in
   for i = 1000 downto 1 do
     Heap.push h i i
   done;
   check "size" 1000 (Heap.size h);
-  (match Heap.pop_min h with
-  | Some (1, _) -> ()
-  | _ -> Alcotest.fail "min of 1000");
+  check "min of 1000" 1 (Heap.pop h);
   Heap.clear h;
-  check "cleared" 0 (Heap.size h)
+  check "cleared" 0 (Heap.size h);
+  Alcotest.check_raises "pop empty" (Invalid_argument "Heap.pop: empty")
+    (fun () -> ignore (Heap.pop h : int))
 
-let heap_sorted_prop =
-  QCheck.Test.make ~name:"heap pops sorted" ~count:200
-    QCheck.(list int)
-    (fun keys ->
-      let h = Heap.create ~cmp:Int.compare () in
-      List.iter (fun k -> Heap.push h k ()) keys;
-      let rec drain acc =
-        match Heap.pop_min h with
-        | Some (k, ()) -> drain (k :: acc)
-        | None -> List.rev acc
+(* [Some k] pushes key [k] and [None] pops. Every pop must return the head
+   of the queued (key, push index) pairs stably sorted by key, so equal
+   keys leave in push order. *)
+let heap_stable_prop =
+  QCheck.Test.make ~name:"heap pops in stable order" ~count:300
+    QCheck.(list_of_size Gen.(int_range 0 300) (option (int_range (-4) 4)))
+    (fun ops ->
+      let h = Heap.create () in
+      let sorted queued =
+        List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) queued
       in
-      drain [] = List.sort Int.compare keys)
+      let rec go pushed queued = function
+        | [] -> drain h = sorted queued
+        | Some k :: rest ->
+            Heap.push h k (k, pushed);
+            go (pushed + 1) (queued @ [ (k, pushed) ]) rest
+        | None :: rest -> (
+            match sorted queued with
+            | [] -> Heap.is_empty h && go pushed queued rest
+            | first :: _ ->
+                Heap.min_key h = fst first
+                && Heap.pop h = first
+                && go pushed (List.filter (( <> ) first) queued) rest)
+      in
+      go 0 [] ops)
 
 (* --- Engine --- *)
 
@@ -172,9 +180,15 @@ let test_engine_failure_propagates () =
   Engine.spawn ~name:"boom" t (fun () -> failwith "bang");
   match Engine.run t with
   | () -> Alcotest.fail "expected Process_failure"
-  | exception Engine.Process_failure (name, Failure msg) ->
+  | exception Engine.Process_failure (name, Failure msg) -> (
       Alcotest.(check string) "name" "boom" name;
-      Alcotest.(check string) "msg" "bang" msg
+      Alcotest.(check string) "msg" "bang" msg;
+      let t = Engine.create () in
+      Engine.spawn ~name:"backwards" t (fun () -> Engine.delay (-1));
+      match Engine.run t with
+      | () -> Alcotest.fail "expected Process_failure"
+      | exception Engine.Process_failure ("backwards", Invalid_argument msg) ->
+          Alcotest.(check string) "negative delay" "Engine.delay: negative" msg)
   | exception e -> raise e
 
 let test_engine_live_processes () =
@@ -214,6 +228,307 @@ let test_engine_until_then_resume () =
   Alcotest.(check (list string)) "first half" [ "a" ] (List.rev !log);
   Engine.run ~until:200 t;
   Alcotest.(check (list string)) "second half" [ "a"; "b" ] (List.rev !log)
+
+let expect_unhandled label f =
+  match f () with
+  | () -> Alcotest.fail (label ^ ": expected Effect.Unhandled")
+  | exception Effect.Unhandled _ -> ()
+
+let test_delay_outside_run () =
+  expect_unhandled "before any run" (fun () -> Engine.delay 0);
+  let t = Engine.create () in
+  Engine.spawn t (fun () -> Engine.delay 5);
+  Engine.run t;
+  expect_unhandled "zero delay after a run" (fun () -> Engine.delay 0);
+  expect_unhandled "positive delay after a run" (fun () -> Engine.delay 3);
+  check "clock untouched" 5 (Engine.now t)
+
+(* A run that raises hands the domain back: the next delay belongs to
+   whichever engine is running then, or to none. *)
+let test_delay_after_failure () =
+  let a = Engine.create () in
+  Engine.spawn ~name:"boom" a (fun () ->
+      Engine.delay 5;
+      failwith "bang");
+  Engine.spawn a (fun () -> Engine.delay 100);
+  (match Engine.run a with
+  | () -> Alcotest.fail "expected Process_failure"
+  | exception Engine.Process_failure ("boom", _) -> ());
+  check "failed at 5" 5 (Engine.now a);
+  expect_unhandled "outside after a failure" (fun () -> Engine.delay 0);
+  let b = Engine.create () in
+  Engine.spawn b (fun () ->
+      Engine.delay 7;
+      Engine.delay 0);
+  Engine.run b;
+  check "b advanced" 7 (Engine.now b);
+  check "a untouched" 5 (Engine.now a);
+  Engine.run a;
+  check "a resumes" 100 (Engine.now a)
+
+(* A process that runs a second engine to completion, or to a failure,
+   must go on delaying on its own engine. *)
+let test_delay_after_nested_run () =
+  let outer = Engine.create () and inner = Engine.create () in
+  let log = ref [] in
+  let note what t = log := (what, Engine.now t) :: !log in
+  Engine.spawn outer (fun () ->
+      Engine.delay 10;
+      Engine.spawn inner (fun () ->
+          Engine.delay 3;
+          note "inner" inner);
+      Engine.run inner;
+      Engine.delay 5;
+      note "outer" outer;
+      Engine.spawn ~name:"boom" inner (fun () ->
+          Engine.delay 1;
+          failwith "bang");
+      (match Engine.run inner with
+      | () -> note "no failure" inner
+      | exception Engine.Process_failure ("boom", _) -> ());
+      Engine.delay 2;
+      note "outer after failure" outer);
+  Engine.spawn outer (fun () ->
+      Engine.delay 12;
+      note "outer peer" outer);
+  Engine.run outer;
+  Alcotest.(check (list (pair string int)))
+    "each delay on its own engine"
+    [ ("inner", 3); ("outer peer", 12); ("outer", 15); ("outer after failure", 17) ]
+    (List.rev !log);
+  check "inner clock" 4 (Engine.now inner);
+  check "outer clock" 17 (Engine.now outer)
+
+(* The fast path allocates nothing: no effect, no continuation, no heap
+   entry. The bound leaves room for the two boxed floats of the
+   measurement itself. *)
+let test_fast_delay_allocation_free () =
+  let t = Engine.create () in
+  let words = ref nan in
+  Engine.spawn t (fun () ->
+      Engine.delay 1;
+      let before = Gc.minor_words () in
+      for _ = 1 to 10_000 do
+        Engine.delay 1
+      done;
+      words := Gc.minor_words () -. before);
+  Engine.run t;
+  check "every delay counted" 10_001 (Engine.now t);
+  check_bool
+    (Printf.sprintf "10k fast delays allocated %.0f words" !words)
+    true (!words < 10.)
+
+(* --- Engine against a reference scheduler --- *)
+
+(* The engine's earlier design, kept as the reference: a queue of thunks
+   keyed by (time, sequence), every delay and wake-up a queue entry. *)
+module Reference = struct
+  open Effect.Deep
+
+  type _ Effect.t +=
+    | R_delay : int -> unit Effect.t
+    | R_suspend : ((unit -> unit) -> unit) -> unit Effect.t
+
+  module Q = Map.Make (struct
+    type t = int * int
+
+    let compare = compare
+  end)
+
+  type t = {
+    mutable now : int;
+    mutable seq : int;
+    mutable queue : (unit -> unit) Q.t;
+    mutable steps : int;
+  }
+
+  let create () = { now = 0; seq = 0; queue = Q.empty; steps = 0 }
+  let now t = t.now
+  let steps t = t.steps
+
+  let schedule t time thunk =
+    t.seq <- t.seq + 1;
+    t.queue <- Q.add (time, t.seq) thunk t.queue
+
+  let handler t =
+    {
+      retc = Fun.id;
+      exnc = raise;
+      effc =
+        (fun (type b) (eff : b Effect.t) ->
+          match eff with
+          | R_delay d ->
+              Some
+                (fun (k : (b, unit) continuation) ->
+                  schedule t (t.now + d) (fun () -> continue k ()))
+          | R_suspend register ->
+              Some
+                (fun (k : (b, unit) continuation) ->
+                  let resumed = ref false in
+                  register (fun () ->
+                      if not !resumed then begin
+                        resumed := true;
+                        schedule t t.now (fun () -> continue k ())
+                      end))
+          | _ -> None);
+    }
+
+  let spawn_at t time f = schedule t time (fun () -> match_with f () (handler t))
+  let spawn t f = spawn_at t t.now f
+
+  let rec run ?(until = max_int) t =
+    match Q.min_binding_opt t.queue with
+    | None -> ()
+    | Some ((time, _), _) when time > until -> t.now <- until
+    | Some (((time, _) as key), thunk) ->
+        t.queue <- Q.remove key t.queue;
+        t.now <- time;
+        t.steps <- t.steps + 1;
+        thunk ();
+        run ~until t
+
+  let delay d = Effect.perform (R_delay d)
+  let suspend register = Effect.perform (R_suspend register)
+
+  module Condvar = struct
+    type t = (unit -> unit) Queue.t
+
+    let create () = Queue.create ()
+    let wait cv = suspend (fun resume -> Queue.push resume cv)
+    let signal cv = Option.iter (fun resume -> resume ()) (Queue.take_opt cv)
+  end
+end
+
+module type SIM = sig
+  type t
+
+  val create : unit -> t
+  val now : t -> int
+  val steps : t -> int
+  val spawn : t -> (unit -> unit) -> unit
+  val spawn_at : t -> int -> (unit -> unit) -> unit
+  val run : ?until:int -> t -> unit
+  val delay : int -> unit
+
+  module Condvar : sig
+    type t
+
+    val create : unit -> t
+    val wait : t -> unit
+    val signal : t -> unit
+  end
+end
+
+module Under_test : SIM = struct
+  include Engine
+
+  let spawn t f = spawn t f
+  let spawn_at t time f = spawn_at t time f
+
+  module Condvar = Sync.Condvar
+end
+
+type action =
+  | Delay of int
+  | Log
+  | Spawn of action list
+  | Spawn_at of int * action list
+  | Wait of int
+  | Signal of int
+
+type script = { procs : (int * action list) list; splits : int list }
+
+let rec pp_action = function
+  | Delay d -> Printf.sprintf "delay %d" d
+  | Log -> "log"
+  | Spawn body -> Printf.sprintf "spawn [%s]" (pp_actions body)
+  | Spawn_at (d, body) -> Printf.sprintf "spawn_at +%d [%s]" d (pp_actions body)
+  | Wait c -> Printf.sprintf "wait %d" c
+  | Signal c -> Printf.sprintf "signal %d" c
+
+and pp_actions l = String.concat "; " (List.map pp_action l)
+
+let pp_script s =
+  String.concat "\n"
+    (List.map (fun (at, body) -> Printf.sprintf "@%d: %s" at (pp_actions body)) s.procs
+    @ [ "splits " ^ String.concat "," (List.map string_of_int s.splits) ])
+
+(* Mostly zero and tiny delays, so ties and "caller is next" both occur
+   all the time. *)
+let gen_script =
+  let open QCheck.Gen in
+  let gen_delay = frequency [ (4, return 0); (3, int_range 1 3); (1, int_range 4 40) ] in
+  let gen_body =
+    fix
+      (fun self depth ->
+        let leaf =
+          frequency
+            [
+              (6, map (fun d -> Delay d) gen_delay);
+              (2, return Log);
+              (1, map (fun c -> Wait c) (int_bound 1));
+              (2, map (fun c -> Signal c) (int_bound 1));
+            ]
+        in
+        let action =
+          if depth = 0 then leaf
+          else
+            frequency
+              [
+                (10, leaf);
+                (1, map (fun b -> Spawn b) (self (depth - 1)));
+                (1, map2 (fun d b -> Spawn_at (d, b)) gen_delay (self (depth - 1)));
+              ]
+        in
+        list_size (int_range 0 8) action)
+      2
+  in
+  let gen_proc = pair (frequency [ (2, return 0); (1, int_range 1 20) ]) gen_body in
+  map2
+    (fun procs splits -> { procs; splits = List.sort_uniq Int.compare splits })
+    (list_size (int_range 1 5) gen_proc)
+    (list_size (int_range 0 3) (int_range 0 120))
+
+(* Run [script] and return its (time, process, label) log, with one entry
+   per split point carrying [steps], then the final [now] and [steps]. *)
+let interpret (module S : SIM) script =
+  let t = S.create () in
+  let log = ref [] in
+  let cvs = Array.init 2 (fun _ -> S.Condvar.create ()) in
+  let rec exec pid body =
+    List.iteri
+      (fun i action ->
+        (match action with
+        | Delay d -> S.delay d
+        | Log -> ()
+        | Spawn b -> S.spawn t (fun () -> exec (Printf.sprintf "%s.%d" pid i) b)
+        | Spawn_at (d, b) ->
+            S.spawn_at t (S.now t + d) (fun () ->
+                exec (Printf.sprintf "%s.%d" pid i) b)
+        | Wait c -> S.Condvar.wait cvs.(c)
+        | Signal c -> S.Condvar.signal cvs.(c));
+        log := (S.now t, pid, i) :: !log)
+      body
+  in
+  List.iteri
+    (fun p (at, body) ->
+      let f () = exec (string_of_int p) body in
+      if at = 0 then S.spawn t f else S.spawn_at t at f)
+    script.procs;
+  List.iter
+    (fun until ->
+      S.run ~until t;
+      log := (S.now t, "run", S.steps t) :: !log)
+    script.splits;
+  S.run t;
+  (List.rev !log, S.now t, S.steps t)
+
+let engine_matches_reference_prop =
+  QCheck.Test.make ~name:"engine matches the reference scheduler" ~count:500
+    (QCheck.make ~print:pp_script gen_script)
+    (fun script ->
+      interpret (module Under_test) script
+      = interpret (module Reference : SIM) script)
 
 (* --- Sync --- *)
 
@@ -348,7 +663,7 @@ let () =
           Alcotest.test_case "ordering" `Quick test_heap_ordering;
           Alcotest.test_case "peek" `Quick test_heap_peek;
           Alcotest.test_case "grow" `Quick test_heap_grow;
-          QCheck_alcotest.to_alcotest heap_sorted_prop;
+          QCheck_alcotest.to_alcotest heap_stable_prop;
         ] );
       ( "engine",
         [
@@ -367,6 +682,14 @@ let () =
             test_engine_yield_interleave;
           Alcotest.test_case "until then resume" `Quick
             test_engine_until_then_resume;
+          Alcotest.test_case "delay outside run" `Quick test_delay_outside_run;
+          Alcotest.test_case "delay after failure" `Quick
+            test_delay_after_failure;
+          Alcotest.test_case "delay after nested run" `Quick
+            test_delay_after_nested_run;
+          Alcotest.test_case "fast delay allocation-free" `Quick
+            test_fast_delay_allocation_free;
+          QCheck_alcotest.to_alcotest engine_matches_reference_prop;
         ] );
       ( "sync",
         [
