@@ -337,8 +337,9 @@ let flow () =
     ];
   Table.print t;
   Fmt.pr
-    "window flow control (Flipc_flow.Window) achieves zero discards under@.\
-     the same overload; see test/test_flow.ml and examples/.@.@."
+    "both rows run without runtime flow control; the credit-window layer@.\
+     (Flipc_flow.Window_layer) is the runtime alternative, run by@.\
+     `flipc stack --stack window`.@.@."
 
 (* ------------------------------------------------------------------ *)
 (* BW-SLOPE: bandwidth story.                                          *)
@@ -1065,100 +1066,33 @@ let distribution () =
 (* FAULTS: the reliable channel (extension) on a lossy wire — how the  *)
 (* retransmission layer's recovery cost shows up in the latency tail.  *)
 
-let fault_sweep () =
-  let module Sim = Flipc_sim.Engine in
-  let module Mailbox = Flipc_sim.Sync.Mailbox in
-  let module Mem_port = Flipc_memsim.Mem_port in
-  let module Api = Flipc.Api in
-  let module Endpoint_kind = Flipc.Endpoint_kind in
-  let module Faulty = Flipc_net.Faulty in
-  let module Retrans = Flipc_flow.Retrans in
-  let module Provision = Flipc_flow.Provision in
-  let ok = function
-    | Ok v -> v
-    | Error e -> failwith (Api.error_to_string e)
-  in
-  let messages = 400 in
-  let gap_ns = 25_000 in
-  let run loss =
-    let config = Provision.config_for ~base:Config.default ~buffers:12 in
-    let fault = Faulty.config ~drop:loss ~seed:7 () in
-    let machine =
-      Machine.create ~config ~fault (Machine.Mesh { cols = 2; rows = 1 }) ()
-    in
-    let rcfg =
+module Stackflow = Flipc_workload.Stackflow
+module Retrans_layer = Flipc_flow.Retrans_layer
+
+(* One reliable flow between the two nodes of [kind], paced [gap_ns]
+   apart. Latency runs from the send call to in-order delivery, so
+   recovery cost lands in the tail, where a real-time system feels it. *)
+let reliable_flow ?cost ?(mode = Retrans_layer.Selective_repeat) ~kind ~fault
+    ~rto_ns ~gap_ns ~messages () =
+  Stackflow.run ~fault ?cost
+    ~retrans:
       {
-        Retrans.default_config with
-        Retrans.rto_ns = 200_000;
-        max_rto_ns = 1_600_000;
+        Retrans_layer.default_config with
+        Retrans_layer.rto_ns;
+        max_rto_ns = 8 * rto_ns;
+        mode;
       }
-    in
-    let data_addr = Mailbox.create () and ack_addr = Mailbox.create () in
-    let latencies = ref [] and retrans = ref 0 in
-    Machine.spawn_app machine ~node:1 (fun api ->
-        let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
-        let ack_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-        Mailbox.put data_addr (Api.address api data_ep);
-        Api.connect api ack_ep (Mailbox.take ack_addr);
-        let r =
-          Retrans.create_receiver api ~sim:(Machine.sim machine) ~data_ep
-            ~ack_ep ~config:rcfg ()
-        in
-        let deadline = Flipc_sim.Vtime.ms 500 in
-        while
-          Retrans.delivered r < messages
-          && Sim.now (Machine.sim machine) < deadline
-        do
-          match Retrans.recv r with
-          | Some payload ->
-              (* Latency from first transmission: retransmitted messages
-                 carry their original stamp, so recovery cost lands in
-                 the tail, exactly where a real-time system feels it. *)
-              let stamp = Int64.to_int (Bytes.get_int64_le payload 0) in
-              let lat = Sim.now (Machine.sim machine) - stamp in
-              latencies := (float_of_int lat /. 1_000.) :: !latencies
-          | None -> Mem_port.instr (Api.port api) 200
-        done);
-    Machine.spawn_app machine ~node:0 (fun api ->
-        let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-        let ack_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
-        Mailbox.put ack_addr (Api.address api ack_ep);
-        Api.connect api data_ep (Mailbox.take data_addr);
-        let s =
-          Retrans.create_sender api ~sim:(Machine.sim machine) ~data_ep ~ack_ep
-            ~config:rcfg ()
-        in
-        for _ = 1 to messages do
-          let payload = Bytes.create 8 in
-          Bytes.set_int64_le payload 0
-            (Int64.of_int (Sim.now (Machine.sim machine)));
-          let deadline =
-            Sim.now (Machine.sim machine) + Flipc_sim.Vtime.ms 100
-          in
-          (match Retrans.send_deadline s ~deadline payload with
-          | Ok () -> ()
-          | Error `Timeout -> failwith "fault_sweep: sender timed out");
-          (* Pace the offered load so the sweep measures transport and
-             recovery latency, not window queueing. *)
-          Sim.delay gap_ns
-        done;
-        let deadline =
-          Sim.now (Machine.sim machine) + Flipc_sim.Vtime.ms 100
-        in
-        (match Retrans.flush_deadline s ~deadline with
-        | Ok () -> ()
-        | Error `Timeout -> failwith "fault_sweep: flush timed out");
-        retrans := Retrans.retransmits s);
-    Machine.run machine;
-    Machine.stop_engines machine;
-    Machine.run machine;
-    let dropped =
-      match Machine.fault_stats machine with
-      | Some f -> f.Faulty.dropped
-      | None -> 0
-    in
-    (List.rev !latencies, !retrans, dropped)
-  in
+    ~pace_ns:gap_ns ~budget:(Flipc_sim.Vtime.s 2) ~payload_bytes:8 ~flows:1
+    ~kind ~messages ()
+
+let fault_stat f r =
+  match Machine.fault_stats r.Stackflow.machine with
+  | Some s -> f s
+  | None -> 0
+
+let fault_sweep () =
+  let module Faulty = Flipc_net.Faulty in
+  let messages = 400 in
   let t =
     Table.create
       ~title:"FAULTS: reliable channel on a lossy mesh (400 x 8B, paced 25us)"
@@ -1167,25 +1101,32 @@ let fault_sweep () =
   let rows =
     List.map
       (fun loss ->
-        let lats, retrans, dropped = run loss in
-        let s = Summary.of_samples lats in
+        let r =
+          reliable_flow
+            ~kind:(Machine.Mesh { cols = 2; rows = 1 })
+            ~fault:(Faulty.config ~drop:loss ~seed:7 ())
+            ~rto_ns:200_000 ~gap_ns:25_000 ~messages ()
+        in
+        let s = Summary.of_samples r.Stackflow.latencies_us in
+        let retrans = r.Stackflow.counters.Stackflow.retransmits in
+        let dropped = fault_stat (fun f -> f.Faulty.dropped) r in
         Table.add_row t
           [
             Fmt.str "%.0f%%" (loss *. 100.);
-            Table.cell_i (List.length lats);
+            Table.cell_i r.Stackflow.delivered;
             Table.cell_i retrans;
             Table.cell_i dropped;
             Table.cell_us s.Summary.p50;
             Table.cell_us s.Summary.p99;
           ];
-        (loss, List.length lats, retrans, dropped, s))
+        (loss, r.Stackflow.delivered, retrans, dropped, s))
       [ 0.0; 0.02; 0.05; 0.10 ]
   in
   Table.print t;
   Fmt.pr
-    "go-back-N over the optimistic transport: the median stays at the@.\
-     fault-free floor while the p99 absorbs the retransmission timeouts@.\
-     (initial RTO 200us, doubling to 1.6ms).@.@.";
+    "selective repeat over the channel transport: the median stays at@.\
+     the fault-free floor while the p99 absorbs the retransmission@.\
+     timeouts (initial RTO 200us, doubling to 1.6ms).@.@.";
   write_bench_json "faults"
     [
       ("workload", Json.String "retrans channel, 400 x 8B paced 25us");
@@ -1212,104 +1153,11 @@ let fault_sweep () =
 (* the wire again, while GBN discards them and replays the window.     *)
 
 let retrans_modes () =
-  let module Sim = Flipc_sim.Engine in
-  let module Mailbox = Flipc_sim.Sync.Mailbox in
-  let module Mem_port = Flipc_memsim.Mem_port in
-  let module Api = Flipc.Api in
-  let module Endpoint_kind = Flipc.Endpoint_kind in
   let module Faulty = Flipc_net.Faulty in
-  let module Retrans = Flipc_flow.Retrans in
-  let module Provision = Flipc_flow.Provision in
-  let ok = function
-    | Ok v -> v
-    | Error e -> failwith (Api.error_to_string e)
-  in
   let messages =
     match Sys.getenv_opt "RETRANS_MODES_MESSAGES" with
     | Some s -> ( try int_of_string s with _ -> 2_000)
     | None -> 2_000
-  in
-  let run ~kind ?cost ~fault ~rto_ns ~gap_ns ~mode () =
-    let config = Provision.config_for ~base:Config.default ~buffers:12 in
-    let machine =
-      match cost with
-      | Some cost -> Machine.create ~config ~cost ~fault kind ()
-      | None -> Machine.create ~config ~fault kind ()
-    in
-    let rcfg =
-      {
-        Retrans.default_config with
-        Retrans.rto_ns;
-        max_rto_ns = 8 * rto_ns;
-        mode;
-      }
-    in
-    let data_addr = Mailbox.create () and ack_addr = Mailbox.create () in
-    let latencies = ref [] in
-    let sstats = ref (0, 0, 0) and acks = ref 0 in
-    Machine.spawn_app machine ~node:1 (fun api ->
-        let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
-        let ack_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-        Mailbox.put data_addr (Api.address api data_ep);
-        Api.connect api ack_ep (Mailbox.take ack_addr);
-        let r =
-          Retrans.create_receiver api ~sim:(Machine.sim machine) ~data_ep
-            ~ack_ep ~config:rcfg ()
-        in
-        let deadline = Flipc_sim.Vtime.s 8 in
-        while
-          Retrans.delivered r < messages
-          && Sim.now (Machine.sim machine) < deadline
-        do
-          match Retrans.recv r with
-          | Some payload ->
-              (* Latency from first transmission: recovery cost lands in
-                 the tail, where a real-time system feels it. *)
-              let stamp = Int64.to_int (Bytes.get_int64_le payload 0) in
-              let lat = Sim.now (Machine.sim machine) - stamp in
-              latencies := (float_of_int lat /. 1_000.) :: !latencies
-          | None -> Mem_port.instr (Api.port api) 200
-        done;
-        acks := Retrans.acks_sent r);
-    Machine.spawn_app machine ~node:0 (fun api ->
-        let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-        let ack_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
-        Mailbox.put ack_addr (Api.address api ack_ep);
-        Api.connect api data_ep (Mailbox.take data_addr);
-        let s =
-          Retrans.create_sender api ~sim:(Machine.sim machine) ~data_ep ~ack_ep
-            ~config:rcfg ()
-        in
-        for _ = 1 to messages do
-          let payload = Bytes.create 8 in
-          Bytes.set_int64_le payload 0
-            (Int64.of_int (Sim.now (Machine.sim machine)));
-          (match Retrans.send s payload with
-          | Ok () -> ()
-          | Error `Timeout -> failwith "retrans_modes: sender timed out");
-          Sim.delay gap_ns
-        done;
-        (match Retrans.flush s ~timeout_ns:(Flipc_sim.Vtime.s 2) with
-        | Ok () -> ()
-        | Error `Timeout -> failwith "retrans_modes: flush timed out");
-        sstats :=
-          (Retrans.retransmits s, Retrans.srtt_ns s, Retrans.rto_current_ns s));
-    Machine.run machine;
-    Machine.stop_engines machine;
-    Machine.run machine;
-    let reordered =
-      match Machine.fault_stats machine with
-      | Some f -> f.Faulty.reordered
-      | None -> 0
-    in
-    let retransmits, srtt_ns, rto_cur = !sstats in
-    ( Summary.of_samples (List.rev !latencies),
-      List.length !latencies,
-      retransmits,
-      !acks,
-      srtt_ns,
-      rto_cur,
-      reordered )
   in
   let fabrics =
     [
@@ -1343,31 +1191,38 @@ let retrans_modes () =
       (fun (fname, kind, cost, fault, rto_ns, gap_ns) ->
         List.map
           (fun (mname, mode) ->
-            let s, delivered, retransmits, acks, srtt, rto_cur, reordered =
-              run ~kind ?cost ~fault ~rto_ns ~gap_ns ~mode ()
+            let r =
+              reliable_flow ?cost ~mode ~kind ~fault ~rto_ns ~gap_ns ~messages
+                ()
             in
+            let s = Summary.of_samples r.Stackflow.latencies_us in
+            let c = r.Stackflow.counters in
             Table.add_row t
               [
                 fname;
                 mname;
-                Table.cell_i delivered;
-                Table.cell_i retransmits;
-                Table.cell_i acks;
-                Table.cell_us (float_of_int srtt /. 1_000.);
+                Table.cell_i r.Stackflow.delivered;
+                Table.cell_i c.Stackflow.retransmits;
+                Table.cell_i c.Stackflow.acks_sent;
+                Table.cell_us (float_of_int c.Stackflow.srtt_ns /. 1_000.);
                 Table.cell_us s.Summary.p50;
                 Table.cell_us s.Summary.p99;
               ];
             Json.Obj
               (("fabric", Json.String fname)
               :: ("mode", Json.String mname)
-              :: ("delivered", Json.Int delivered)
-              :: ("retransmits", Json.Int retransmits)
-              :: ("acks_sent", Json.Int acks)
-              :: ("srtt_ns", Json.Int srtt)
-              :: ("rto_current_ns", Json.Int rto_cur)
-              :: ("wire_reordered", Json.Int reordered)
+              :: ("delivered", Json.Int r.Stackflow.delivered)
+              :: ("retransmits", Json.Int c.Stackflow.retransmits)
+              :: ("acks_sent", Json.Int c.Stackflow.acks_sent)
+              :: ("srtt_ns", Json.Int c.Stackflow.srtt_ns)
+              :: ("rto_current_ns", Json.Int c.Stackflow.rto_current_ns)
+              :: ( "wire_reordered",
+                   Json.Int (fault_stat (fun f -> f.Faulty.reordered) r) )
               :: summary_fields s))
-          [ ("sr", Retrans.Selective_repeat); ("gbn", Retrans.Go_back_n) ])
+          [
+            ("sr", Retrans_layer.Selective_repeat);
+            ("gbn", Retrans_layer.Go_back_n);
+          ])
       fabrics
   in
   Table.print t;

@@ -374,26 +374,91 @@ let bulk_cmd =
   let doc = "One-sided bulk put/get of a remote-memory region." in
   Cmd.v (Cmd.info "bulk" ~doc) Term.(const run $ obs_out $ bytes)
 
-(* --- faults --- *)
+(* --- reliable flows: faults, retrans --- *)
+
+module Stackflow = Flipc_workload.Stackflow
+module Retrans_layer = Flipc_flow.Retrans_layer
+
+let fault_seed default =
+  Arg.(
+    value & opt int default
+    & info [ "fault-seed" ] ~docv:"SEED"
+        ~doc:"PRNG seed for fault injection (runs replay bit-identically).")
+
+let json_flag =
+  Arg.(
+    value & flag
+    & info [ "json" ]
+        ~doc:"Emit one machine-readable JSON object instead of text.")
+
+let check_prob cmd name p =
+  if p < 0. || p > 1. then begin
+    Fmt.epr "flipc %s: %s must be in [0,1] (got %g)@." cmd name p;
+    exit 2
+  end
+
+(* Retransmission config for a fabric whose round trip [rto_ns]
+   covers: backoff up to 8x. *)
+let retrans_config ?(mode = Retrans_layer.Selective_repeat) rto_ns =
+  {
+    Retrans_layer.default_config with
+    Retrans_layer.rto_ns;
+    max_rto_ns = 8 * rto_ns;
+    mode;
+  }
+
+let two_node_fabric =
+  Arg.(
+    value
+    & opt (enum [ ("mesh", `Mesh); ("ethernet", `Ethernet); ("scsi", `Scsi) ])
+        `Mesh
+    & info [ "fabric" ] ~docv:"FABRIC"
+        ~doc:"Underlying fabric: mesh, ethernet or scsi.")
+
+(* One reliable flow between the two nodes of a small fabric, with the
+   fabric's cost model and an initial RTO above its round trip; the
+   sender paces one message per RTO/8. *)
+let two_node_flow ?mode ~fabric ~fault ~msgs ~payload () =
+  let kind, cost, rto_ns =
+    match fabric with
+    | `Mesh ->
+        (Machine.Mesh { cols = 2; rows = 1 }, Flipc_memsim.Cost_model.paragon,
+         200_000)
+    | `Ethernet ->
+        (Machine.Ethernet { nodes = 2 }, Flipc_memsim.Cost_model.pc_cluster,
+         1_000_000)
+    | `Scsi ->
+        (Machine.Scsi { nodes = 2 }, Flipc_memsim.Cost_model.pc_cluster,
+         1_000_000)
+  in
+  Stackflow.run ~fault ~cost ~retrans:(retrans_config ?mode rto_ns)
+    ~pace_ns:(rto_ns / 8) ~budget:(Flipc_sim.Vtime.s 2) ~payload_bytes:payload
+    ~flows:1 ~kind ~messages:msgs ()
+
+let pp_wire_faults machine =
+  match Machine.fault_stats machine with
+  | Some f ->
+      let module Faulty = Flipc_net.Faulty in
+      Fmt.pr "wire faults: dropped=%d duplicated=%d reordered=%d delayed=%d@."
+        f.Faulty.dropped f.Faulty.duplicated f.Faulty.reordered f.Faulty.delayed
+  | None -> ()
+
+(* A flow that aborted (watchdog or unreachable peer) is a failed run. *)
+let exit_if_stalled cmd r =
+  if r.Stackflow.watchdogs_expired > 0 then begin
+    Fmt.epr
+      "flipc %s: flow stalled after %d/%d deliveries (peer unreachable?)@."
+      cmd r.Stackflow.delivered r.Stackflow.expected;
+    exit 1
+  end
+
+let flow_messages =
+  Arg.(
+    value & opt int 400
+    & info [ "messages" ] ~docv:"N" ~doc:"Messages to deliver reliably.")
 
 let faults_cmd =
-  let module Sim = Flipc_sim.Engine in
-  let module Mailbox = Flipc_sim.Sync.Mailbox in
-  let module Mem_port = Flipc_memsim.Mem_port in
-  let module Api = Flipc.Api in
-  let module Endpoint_kind = Flipc.Endpoint_kind in
   let module Faulty = Flipc_net.Faulty in
-  let module Retrans = Flipc_flow.Retrans in
-  let module Provision = Flipc_flow.Provision in
-  let fabric =
-    let fabric_conv =
-      Arg.enum [ ("mesh", `Mesh); ("ethernet", `Ethernet); ("scsi", `Scsi) ]
-    in
-    Arg.(
-      value & opt fabric_conv `Mesh
-      & info [ "fabric" ] ~docv:"FABRIC"
-          ~doc:"Underlying fabric: mesh, ethernet or scsi.")
-  in
   let loss =
     Arg.(
       value & opt float 0.05
@@ -409,185 +474,52 @@ let faults_cmd =
       value & opt float 0.
       & info [ "reorder" ] ~docv:"P" ~doc:"Packet reordering probability (0..1).")
   in
-  let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "fault-seed" ] ~docv:"SEED"
-          ~doc:"PRNG seed for fault injection (runs replay bit-identically).")
-  in
-  let msgs =
-    Arg.(
-      value & opt int 400
-      & info [ "messages" ] ~docv:"N" ~doc:"Messages to deliver reliably.")
-  in
   let run trace fabric loss dup reorder seed msgs payload =
     with_trace trace @@ fun () ->
-    let check_prob name p =
-      if p < 0. || p > 1. then begin
-        Fmt.epr "flipc faults: %s must be in [0,1] (got %g)@." name p;
-        exit 2
-      end
-    in
-    check_prob "--loss" loss;
-    check_prob "--dup" dup;
-    check_prob "--reorder" reorder;
-    let kind, cost, rto_ns =
-      match fabric with
-      | `Mesh ->
-          ( Machine.Mesh { cols = 2; rows = 1 },
-            Flipc_memsim.Cost_model.paragon,
-            200_000 )
-      | `Ethernet ->
-          ( Machine.Ethernet { nodes = 2 },
-            Flipc_memsim.Cost_model.pc_cluster,
-            1_000_000 )
-      | `Scsi ->
-          ( Machine.Scsi { nodes = 2 },
-            Flipc_memsim.Cost_model.pc_cluster,
-            1_000_000 )
-    in
-    let fault =
-      Faulty.config ~drop:loss ~duplicate:dup ~reorder ~seed ()
-    in
-    let config = Provision.config_for ~base:Config.default ~buffers:12 in
-    let machine = Machine.create ~config ~cost ~fault kind () in
-    let rcfg =
-      { Retrans.default_config with Retrans.rto_ns; max_rto_ns = 8 * rto_ns }
-    in
-    let data_addr = Mailbox.create () and ack_addr = Mailbox.create () in
-    let ok = function
-      | Ok v -> v
-      | Error e -> failwith (Api.error_to_string e)
-    in
-    let latencies = ref [] in
-    let r_stats = ref (0, 0, 0) and s_stats = ref (0, 0) in
-    (* The receiver lingers past its final delivery until the sender's
-       flush completes: a dropped final cumulative ack otherwise strands
-       the sender retransmitting at a peer that no longer posts buffers
-       (DESIGN.md §14). *)
-    let tx_done = ref false in
-    Machine.spawn_app machine ~node:1 (fun api ->
-        let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
-        let ack_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-        Mailbox.put data_addr (Api.address api data_ep);
-        Api.connect api ack_ep (Mailbox.take ack_addr);
-        let r =
-          Retrans.create_receiver api ~sim:(Machine.sim machine) ~data_ep
-            ~ack_ep ~config:rcfg ()
-        in
-        let deadline = Flipc_sim.Vtime.s 4 in
-        while
-          Retrans.delivered r < msgs && Sim.now (Machine.sim machine) < deadline
-        do
-          match Retrans.recv r with
-          | Some p ->
-              let stamp = Int64.to_int (Bytes.get_int64_le p 0) in
-              latencies :=
-                (float_of_int (Sim.now (Machine.sim machine) - stamp) /. 1_000.)
-                :: !latencies
-          | None -> Mem_port.instr (Api.port api) 200
-        done;
-        while (not !tx_done) && Sim.now (Machine.sim machine) < deadline do
-          (match Retrans.recv r with
-          | Some _ -> ()
-          | None -> Sim.delay (4 * rto_ns / 32));
-          Mem_port.instr (Api.port api) 200
-        done;
-        r_stats :=
-          (Retrans.duplicates r, Retrans.reordered r, Retrans.transport_drops r));
-    Machine.spawn_app machine ~node:0 (fun api ->
-        let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-        let ack_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
-        Mailbox.put ack_addr (Api.address api ack_ep);
-        Api.connect api data_ep (Mailbox.take data_addr);
-        let s =
-          Retrans.create_sender api ~sim:(Machine.sim machine) ~data_ep ~ack_ep
-            ~config:rcfg ()
-        in
-        let bytes = min (max payload 8) (Retrans.capacity api) in
-        Fun.protect
-          ~finally:(fun () -> tx_done := true)
-          (fun () ->
-            for _ = 1 to msgs do
-              let p = Bytes.create bytes in
-              Bytes.set_int64_le p 0
-                (Int64.of_int (Sim.now (Machine.sim machine)));
-              let deadline =
-                Sim.now (Machine.sim machine) + Flipc_sim.Vtime.s 2
-              in
-              (match Retrans.send_deadline s ~deadline p with
-              | Ok () -> ()
-              | Error `Timeout -> failwith "sender timed out: peer unreachable?");
-              Sim.delay (4 * rto_ns / 32)
-            done;
-            let deadline =
-              Sim.now (Machine.sim machine) + Flipc_sim.Vtime.s 1
-            in
-            match Retrans.flush_deadline s ~deadline with
-            | Ok () -> ()
-            | Error `Timeout -> failwith "flush timed out: peer unreachable?");
-        s_stats := (Retrans.retransmits s, Retrans.ack_drops s));
-    (try Machine.run machine with
-    | Flipc_sim.Engine.Process_failure (_, Failure msg) ->
-        (* The retransmission layer's bounded waits reported `Timeout:
-           surface it as a result, not a crash. *)
-        Fmt.epr "flipc faults: %s@." msg;
-        exit 1);
-    Machine.stop_engines machine;
-    Machine.run machine;
-    let duplicates, reordered, transport_drops = !r_stats in
-    let retransmits, ack_drops = !s_stats in
-    (match Machine.fault_stats machine with
-    | Some f ->
-        Fmt.pr "wire faults: dropped=%d duplicated=%d reordered=%d delayed=%d@."
-          f.Faulty.dropped f.Faulty.duplicated f.Faulty.reordered
-          f.Faulty.delayed
-    | None -> ());
+    check_prob "faults" "--loss" loss;
+    check_prob "faults" "--dup" dup;
+    check_prob "faults" "--reorder" reorder;
+    let fault = Faulty.config ~drop:loss ~duplicate:dup ~reorder ~seed () in
+    let r = two_node_flow ~fabric ~fault ~msgs ~payload () in
+    exit_if_stalled "faults" r;
+    let c = r.Stackflow.counters in
+    pp_wire_faults r.Stackflow.machine;
     Fmt.pr
       "receiver: delivered=%d dup-discards=%d gap-discards=%d \
        transport-drops=%d@."
-      (List.length !latencies) duplicates reordered transport_drops;
-    Fmt.pr "sender: retransmits=%d ack-drops=%d@." retransmits ack_drops;
-    if !latencies <> [] then
+      r.Stackflow.delivered c.Stackflow.duplicates c.Stackflow.reordered
+      r.Stackflow.transport_drops;
+    Fmt.pr "sender: retransmits=%d backpressure=%d@." c.Stackflow.retransmits
+      c.Stackflow.backpressure;
+    if r.Stackflow.latencies_us <> [] then
       Fmt.pr "delivery latency: %a us@." Summary.pp
-        (Summary.of_samples (List.rev !latencies))
+        (Summary.of_samples r.Stackflow.latencies_us)
   in
   let doc =
     "Reliable (exactly-once, in-order) delivery over a fault-injected \
      fabric: drops, duplicates and reordering repaired by the \
-     retransmission library."
+     retransmission layer."
   in
   Cmd.v
     (Cmd.info "faults" ~doc)
     Term.(
-      const run $ obs_out $ fabric $ loss $ dup $ reorder $ seed $ msgs
-      $ payload)
-
-(* --- retrans --- *)
+      const run $ obs_out $ two_node_fabric $ loss $ dup $ reorder
+      $ fault_seed 1 $ flow_messages $ payload)
 
 let retrans_cmd =
-  let module Sim = Flipc_sim.Engine in
-  let module Mailbox = Flipc_sim.Sync.Mailbox in
-  let module Mem_port = Flipc_memsim.Mem_port in
-  let module Api = Flipc.Api in
-  let module Endpoint_kind = Flipc.Endpoint_kind in
   let module Faulty = Flipc_net.Faulty in
-  let module Retrans = Flipc_flow.Retrans in
-  let module Provision = Flipc_flow.Provision in
   let module Json = Flipc_obs.Json in
-  let fabric =
-    let fabric_conv =
-      Arg.enum [ ("mesh", `Mesh); ("ethernet", `Ethernet); ("scsi", `Scsi) ]
+  let mode =
+    let mode_conv =
+      Arg.enum
+        [
+          ("sr", Retrans_layer.Selective_repeat);
+          ("gbn", Retrans_layer.Go_back_n);
+        ]
     in
     Arg.(
-      value & opt fabric_conv `Mesh
-      & info [ "fabric" ] ~docv:"FABRIC"
-          ~doc:"Underlying fabric: mesh, ethernet or scsi.")
-  in
-  let mode =
-    let mode_conv = Arg.enum [ ("sr", `Sr); ("gbn", `Gbn) ] in
-    Arg.(
-      value & opt mode_conv `Sr
+      value
+      & opt mode_conv Retrans_layer.Selective_repeat
       & info [ "mode" ] ~docv:"MODE"
           ~doc:
             "Retransmission mode: sr (selective repeat, default) or gbn \
@@ -609,21 +541,6 @@ let retrans_cmd =
       value & opt float 0.
       & info [ "dup" ] ~docv:"P" ~doc:"Packet duplication probability (0..1).")
   in
-  let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "fault-seed" ] ~docv:"SEED"
-          ~doc:"PRNG seed for fault injection (runs replay bit-identically).")
-  in
-  let msgs =
-    Arg.(
-      value & opt int 400
-      & info [ "messages" ] ~docv:"N" ~doc:"Messages to deliver reliably.")
-  in
-  let json_flag =
-    let doc = "Emit one machine-readable JSON object instead of text." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
   let max_ratio =
     let doc =
       "Fail (exit 1) when retransmits/messages exceeds $(docv). Selective \
@@ -638,126 +555,24 @@ let retrans_cmd =
   let run trace fabric mode reorder drop dup seed msgs payload json_out
       max_ratio =
     with_trace trace @@ fun () ->
-    let check_prob name p =
-      if p < 0. || p > 1. then begin
-        Fmt.epr "flipc retrans: %s must be in [0,1] (got %g)@." name p;
-        exit 2
-      end
-    in
-    check_prob "--reorder" reorder;
-    check_prob "--drop" drop;
-    check_prob "--dup" dup;
-    let kind, cost, rto_ns, reorder_hold_ns =
-      match fabric with
-      | `Mesh ->
-          ( Machine.Mesh { cols = 2; rows = 1 },
-            Flipc_memsim.Cost_model.paragon,
-            200_000,
-            100_000 )
-      | `Ethernet ->
-          ( Machine.Ethernet { nodes = 2 },
-            Flipc_memsim.Cost_model.pc_cluster,
-            1_000_000,
-            500_000 )
-      | `Scsi ->
-          ( Machine.Scsi { nodes = 2 },
-            Flipc_memsim.Cost_model.pc_cluster,
-            1_000_000,
-            500_000 )
-    in
-    let rmode, mode_name =
-      match mode with
-      | `Sr -> (Retrans.Selective_repeat, "sr")
-      | `Gbn -> (Retrans.Go_back_n, "gbn")
-    in
+    check_prob "retrans" "--reorder" reorder;
+    check_prob "retrans" "--drop" drop;
+    check_prob "retrans" "--dup" dup;
+    let reorder_hold_ns = if fabric = `Mesh then 100_000 else 500_000 in
     let fault =
       Faulty.config ~drop ~duplicate:dup ~reorder ~reorder_hold_ns ~seed ()
     in
-    let config = Provision.config_for ~base:Config.default ~buffers:12 in
-    let machine = Machine.create ~config ~cost ~fault kind () in
-    let rcfg =
-      {
-        Retrans.default_config with
-        Retrans.rto_ns;
-        max_rto_ns = 8 * rto_ns;
-        mode = rmode;
-      }
+    let r = two_node_flow ~mode ~fabric ~fault ~msgs ~payload () in
+    exit_if_stalled "retrans" r;
+    let mode_name =
+      match mode with
+      | Retrans_layer.Selective_repeat -> "sr"
+      | Retrans_layer.Go_back_n -> "gbn"
     in
-    let data_addr = Mailbox.create () and ack_addr = Mailbox.create () in
-    let ok = function
-      | Ok v -> v
-      | Error e -> failwith (Api.error_to_string e)
-    in
-    let latencies = ref [] in
-    let r_stats = ref (0, 0, 0, 0, 0) and s_stats = ref (0, 0, 0, 0) in
-    Machine.spawn_app machine ~node:1 (fun api ->
-        let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
-        let ack_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-        Mailbox.put data_addr (Api.address api data_ep);
-        Api.connect api ack_ep (Mailbox.take ack_addr);
-        let r =
-          Retrans.create_receiver api ~sim:(Machine.sim machine) ~data_ep
-            ~ack_ep ~config:rcfg ()
-        in
-        let deadline = Flipc_sim.Vtime.s 8 in
-        while
-          Retrans.delivered r < msgs && Sim.now (Machine.sim machine) < deadline
-        do
-          match Retrans.recv r with
-          | Some p ->
-              let stamp = Int64.to_int (Bytes.get_int64_le p 0) in
-              latencies :=
-                (float_of_int (Sim.now (Machine.sim machine) - stamp) /. 1_000.)
-                :: !latencies
-          | None -> Mem_port.instr (Api.port api) 200
-        done;
-        r_stats :=
-          ( Retrans.duplicates r,
-            Retrans.reordered r,
-            Retrans.ooo_buffered r,
-            Retrans.acks_sent r,
-            Retrans.reacks_suppressed r ));
-    Machine.spawn_app machine ~node:0 (fun api ->
-        let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-        let ack_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
-        Mailbox.put ack_addr (Api.address api ack_ep);
-        Api.connect api data_ep (Mailbox.take data_addr);
-        let s =
-          Retrans.create_sender api ~sim:(Machine.sim machine) ~data_ep ~ack_ep
-            ~config:rcfg ()
-        in
-        let bytes = min (max payload 8) (Retrans.capacity api) in
-        for _ = 1 to msgs do
-          let p = Bytes.create bytes in
-          Bytes.set_int64_le p 0 (Int64.of_int (Sim.now (Machine.sim machine)));
-          (match Retrans.send s p with
-          | Ok () -> ()
-          | Error `Timeout -> failwith "sender timed out: peer unreachable?");
-          Sim.delay (4 * rto_ns / 32)
-        done;
-        (match Retrans.flush s ~timeout_ns:(Flipc_sim.Vtime.s 2) with
-        | Ok () -> ()
-        | Error `Timeout -> failwith "flush timed out: peer unreachable?");
-        s_stats :=
-          ( Retrans.retransmits s,
-            Retrans.backpressure s,
-            Retrans.srtt_ns s,
-            Retrans.rto_current_ns s ));
-    (try Machine.run machine with
-    | Flipc_sim.Engine.Process_failure (_, Failure msg) ->
-        Fmt.epr "flipc retrans: %s@." msg;
-        exit 1);
-    Machine.stop_engines machine;
-    Machine.run machine;
-    let duplicates, reordered, ooo_buffered, acks_sent, reacks_suppressed =
-      !r_stats
-    in
-    let retransmits, backpressure, srtt_ns, rto_cur = !s_stats in
-    let delivered = List.length !latencies in
-    let summary = Summary.of_samples (List.rev !latencies) in
-    let ratio =
-      if msgs = 0 then 0. else float_of_int retransmits /. float_of_int msgs
-    in
+    let c = r.Stackflow.counters in
+    let delivered = r.Stackflow.delivered in
+    let summary = Summary.of_samples r.Stackflow.latencies_us in
+    let ratio = float_of_int c.Stackflow.retransmits /. float_of_int msgs in
     if json_out then
       print_endline
         (Json.to_string
@@ -766,36 +581,32 @@ let retrans_cmd =
                 ("mode", Json.String mode_name);
                 ("messages", Json.Int msgs);
                 ("delivered", Json.Int delivered);
-                ("retransmits", Json.Int retransmits);
+                ("retransmits", Json.Int c.Stackflow.retransmits);
                 ("retransmit_ratio", Json.Float ratio);
-                ("backpressure", Json.Int backpressure);
-                ("srtt_ns", Json.Int srtt_ns);
-                ("rto_current_ns", Json.Int rto_cur);
-                ("duplicates", Json.Int duplicates);
-                ("reordered", Json.Int reordered);
-                ("ooo_buffered", Json.Int ooo_buffered);
-                ("acks_sent", Json.Int acks_sent);
-                ("reacks_suppressed", Json.Int reacks_suppressed);
+                ("backpressure", Json.Int c.Stackflow.backpressure);
+                ("srtt_ns", Json.Int c.Stackflow.srtt_ns);
+                ("rto_current_ns", Json.Int c.Stackflow.rto_current_ns);
+                ("duplicates", Json.Int c.Stackflow.duplicates);
+                ("reordered", Json.Int c.Stackflow.reordered);
+                ("ooo_buffered", Json.Int c.Stackflow.ooo_buffered);
+                ("acks_sent", Json.Int c.Stackflow.acks_sent);
+                ("reacks_suppressed", Json.Int c.Stackflow.reacks_suppressed);
                 ("p50_us", Json.Float summary.Summary.p50);
                 ("p99_us", Json.Float summary.Summary.p99);
               ]))
     else begin
-      (match Machine.fault_stats machine with
-      | Some f ->
-          Fmt.pr
-            "wire faults: dropped=%d duplicated=%d reordered=%d delayed=%d@."
-            f.Faulty.dropped f.Faulty.duplicated f.Faulty.reordered
-            f.Faulty.delayed
-      | None -> ());
+      pp_wire_faults r.Stackflow.machine;
       Fmt.pr
         "receiver (%s): delivered=%d dup-discards=%d reordered=%d \
          ooo-buffered=%d acks=%d reacks-suppressed=%d@."
-        mode_name delivered duplicates reordered ooo_buffered acks_sent
-        reacks_suppressed;
+        mode_name delivered c.Stackflow.duplicates c.Stackflow.reordered
+        c.Stackflow.ooo_buffered c.Stackflow.acks_sent
+        c.Stackflow.reacks_suppressed;
       Fmt.pr
         "sender: retransmits=%d (ratio %.3f) backpressure=%d srtt=%dns \
          rto=%dns@."
-        retransmits ratio backpressure srtt_ns rto_cur;
+        c.Stackflow.retransmits ratio c.Stackflow.backpressure
+        c.Stackflow.srtt_ns c.Stackflow.rto_current_ns;
       if delivered > 0 then
         Fmt.pr "delivery latency: %a us@." Summary.pp summary
     end;
@@ -816,8 +627,8 @@ let retrans_cmd =
   Cmd.v
     (Cmd.info "retrans" ~doc)
     Term.(
-      const run $ obs_out $ fabric $ mode $ reorder $ drop $ dup $ seed
-      $ msgs $ payload $ json_flag $ max_ratio)
+      const run $ obs_out $ two_node_fabric $ mode $ reorder $ drop $ dup
+      $ fault_seed 1 $ flow_messages $ payload $ json_flag $ max_ratio)
 
 (* --- firehose --- *)
 
@@ -1110,15 +921,7 @@ let firehose_cmd =
 (* --- doctor --- *)
 
 let doctor_cmd =
-  let module Sim = Flipc_sim.Engine in
-  let module Vtime = Flipc_sim.Vtime in
-  let module Mailbox = Flipc_sim.Sync.Mailbox in
-  let module Mem_port = Flipc_memsim.Mem_port in
-  let module Api = Flipc.Api in
-  let module Endpoint_kind = Flipc.Endpoint_kind in
   let module Faulty = Flipc_net.Faulty in
-  let module Retrans = Flipc_flow.Retrans in
-  let module Provision = Flipc_flow.Provision in
   let module Monitor = Flipc_obs.Monitor in
   let module Causal = Flipc_obs.Causal in
   let module Json = Flipc_obs.Json in
@@ -1149,12 +952,6 @@ let doctor_cmd =
       & info [ "reorder" ] ~docv:"P"
           ~doc:"Packet reordering probability (0..1).")
   in
-  let seed =
-    Arg.(
-      value & opt int 7
-      & info [ "fault-seed" ] ~docv:"SEED"
-          ~doc:"PRNG seed for fault injection (runs replay bit-identically).")
-  in
   let assert_clean =
     Arg.(
       value & flag
@@ -1162,12 +959,6 @@ let doctor_cmd =
           ~doc:
             "Exit 1 unless every flow completes, no watchdog fires and every \
              invariant monitor stays clean — the CI health gate.")
-  in
-  let json_flag =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit one machine-readable JSON object instead of text.")
   in
   let replay_arg =
     Arg.(
@@ -1375,120 +1166,24 @@ let doctor_cmd =
       Fmt.epr "flipc doctor: --flows must be in [1,8]@.";
       exit 2
     end;
-    let check_prob name p =
-      if p < 0. || p > 1. then begin
-        Fmt.epr "flipc doctor: %s must be in [0,1] (got %g)@." name p;
-        exit 2
-      end
-    in
-    check_prob "--drop" drop;
-    check_prob "--dup" dup;
-    check_prob "--reorder" reorder;
+    check_prob "doctor" "--drop" drop;
+    check_prob "doctor" "--dup" dup;
+    check_prob "doctor" "--reorder" reorder;
     let fault =
       Faulty.config ~drop ~duplicate:dup ~reorder ~reorder_hold_ns:100_000
         ~seed ()
     in
-    let config = Provision.config_for ~base:Config.default ~buffers:16 in
-    let machine =
-      Machine.create ~config ~fault (Machine.Mesh { cols = 4; rows = 4 }) ()
+    (* Flow i runs node i -> node i+8: disjoint pairs across the mesh. *)
+    let r =
+      Stackflow.run ~fault ~flows ~messages:msgs
+        ~kind:(Machine.Mesh { cols = 4; rows = 4 })
+        ()
     in
-    let mon = Machine.attach_monitor machine in
-    let sim = Machine.sim machine in
-    let obs = Machine.obs machine in
-    let rcfg =
-      {
-        Retrans.default_config with
-        Retrans.rto_ns = 200_000;
-        max_rto_ns = 1_600_000;
-      }
-    in
-    (* A watchdog expiry aborts the run but keeps the flight recorder. *)
-    let stalled = ref None in
-    let stall wd ?mid () =
-      if !stalled = None then
-        stalled := Some (Monitor.Watchdog.report ?mid wd [ obs ]);
-      failwith (Printf.sprintf "watchdog '%s' expired" (Monitor.Watchdog.name wd))
-    in
-    let delivered = ref 0 and retransmits = ref 0 in
-    for flow = 0 to flows - 1 do
-      (* Disjoint node pairs across the 16-node mesh. *)
-      let src = flow and dst = 15 - flow in
-      let data_addr = Mailbox.create () and ack_addr = Mailbox.create () in
-      let ok = function
-        | Ok v -> v
-        | Error e -> failwith (Api.error_to_string e)
-      in
-      let wname dir = Printf.sprintf "doctor-flow-%d-%s" flow dir in
-      (* Set by the sender once its flush completes; the receiver lingers
-         until then, re-acking retransmitted duplicates. Exiting at the
-         final delivery would strand the sender whenever the last
-         cumulative ack is dropped: nothing new arrives at the receiver,
-         so nothing re-triggers an ack (DESIGN.md §14). *)
-      let tx_done = ref false in
-      Machine.spawn_app ~name:(wname "rx") machine ~node:dst (fun api ->
-          let data_ep =
-            ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ())
-          in
-          let ack_ep =
-            ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ())
-          in
-          Mailbox.put data_addr (Api.address api data_ep);
-          Api.connect api ack_ep (Mailbox.take ack_addr);
-          let r =
-            Retrans.create_receiver api ~sim ~data_ep ~ack_ep ~config:rcfg ()
-          in
-          let wd = Monitor.Watchdog.create ~sim ~name:(wname "rx") () in
-          while Retrans.delivered r < msgs do
-            match Retrans.recv r with
-            | Some _ -> Monitor.Watchdog.progress wd
-            | None ->
-                if Monitor.Watchdog.expired wd then
-                  stall wd ~mid:(Api.last_recv_msg_id api) ();
-                Mem_port.instr (Api.port api) 200
-          done;
-          while (not !tx_done) && not (Monitor.Watchdog.expired wd) do
-            (match Retrans.recv r with
-            | Some _ -> ()
-            | None -> Sim.delay 25_000);
-            Mem_port.instr (Api.port api) 200
-          done);
-      Machine.spawn_app ~name:(wname "tx") machine ~node:src (fun api ->
-          let data_ep =
-            ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ())
-          in
-          let ack_ep =
-            ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ())
-          in
-          Mailbox.put ack_addr (Api.address api ack_ep);
-          Api.connect api data_ep (Mailbox.take data_addr);
-          let s =
-            Retrans.create_sender api ~sim ~data_ep ~ack_ep ~config:rcfg ()
-          in
-          let wd = Monitor.Watchdog.create ~sim ~name:(wname "tx") () in
-          let bytes = min 32 (Retrans.capacity api) in
-          Fun.protect
-            ~finally:(fun () -> tx_done := true)
-            (fun () ->
-              for i = 1 to msgs do
-                let p = Bytes.make bytes (Char.chr (i land 0x7f)) in
-                (match Retrans.send s p with
-                | Ok () -> Monitor.Watchdog.progress wd
-                | Error `Timeout -> stall wd ~mid:(Api.last_msg_id api) ());
-                Sim.delay 25_000
-              done;
-              match Retrans.flush s ~timeout_ns:(Vtime.s 2) with
-              | Ok () -> ()
-              | Error `Timeout -> stall wd ~mid:(Api.last_msg_id api) ());
-          retransmits := !retransmits + Retrans.retransmits s;
-          delivered := !delivered + msgs)
-    done;
-    (try Machine.run machine with
-    | Flipc_sim.Engine.Process_failure (_, Failure msg) ->
-        Fmt.epr "flipc doctor: %s@." msg);
-    Machine.stop_engines machine;
-    Machine.run machine;
-    let spans = Causal.spans [ obs ] in
-    let expected = flows * msgs in
+    let machine = r.Stackflow.machine in
+    let spans = Causal.spans [ Machine.obs machine ] in
+    let expected = r.Stackflow.expected and delivered = r.Stackflow.delivered in
+    let retransmits = r.Stackflow.counters.Stackflow.retransmits in
+    let stalled = r.Stackflow.watchdogs_expired > 0 in
     let faults_json =
       match Machine.fault_stats machine with
       | Some f ->
@@ -1511,15 +1206,15 @@ let doctor_cmd =
                ("flows", Json.Int flows);
                ("messages_per_flow", Json.Int msgs);
                ("expected", Json.Int expected);
-               ("delivered", Json.Int !delivered);
-               ("retransmits", Json.Int !retransmits);
+               ("delivered", Json.Int delivered);
+               ("retransmits", Json.Int retransmits);
                ("faults", faults_json);
-               ("stalled", Json.Bool (!stalled <> None));
+               ("stalled", Json.Bool stalled);
              ])
     | None -> ());
-    report ~json_out ~assert_clean ~flows ~msgs ~expected
-      ~delivered:!delivered ~retransmits:!retransmits ~faults:faults_json
-      ~stalled:(!stalled <> None) ~stall_report:!stalled ~spans ~mon
+    report ~json_out ~assert_clean ~flows ~msgs ~expected ~delivered
+      ~retransmits ~faults:faults_json ~stalled
+      ~stall_report:r.Stackflow.stall_report ~spans ~mon:r.Stackflow.monitor
   in
   let doc =
     "Self-diagnosis on a lossy mesh: run reliable flows with causal tracing, \
@@ -1534,9 +1229,51 @@ let doctor_cmd =
     (Cmd.info "doctor" ~doc)
     Term.(
       const run $ obs_out $ replay_arg $ against_arg $ flows_arg $ msgs $ drop
-      $ dup $ reorder $ seed $ assert_clean $ json_flag)
+      $ dup $ reorder $ fault_seed 7 $ assert_clean $ json_flag)
 
-(* --- soakmatrix --- *)
+(* --- fault scenarios: soakmatrix, stack --- *)
+
+(* The named fault scenarios of the soak and stack matrices, as a
+   fabric-wide fault and per-link overrides. [hold] is the fabric's
+   reorder hold; the single bad link runs from node 0 to its partner
+   [half], and drops, bursts and corrupts while every other link stays
+   clean. *)
+let scenario_fault name ~seed ~hold ~half =
+  let module Faulty = Flipc_net.Faulty in
+  let bad_link () =
+    Faulty.config ~drop:0.15 ~corrupt:0.1
+      ~burst:(Faulty.burst ~p_good_bad:0.05 ~p_bad_good:0.3 ~drop_bad:0.5 ())
+      ~seed:(seed + 1) ()
+  in
+  let only_link_0 bad ~src ~dst =
+    if src = 0 && dst = half then Some bad else None
+  in
+  match name with
+  | "clean" -> (None, None)
+  | "uniform" ->
+      ( Some
+          (Faulty.config ~drop:0.05 ~duplicate:0.02 ~reorder:0.15
+             ~reorder_hold_ns:hold ~seed ()),
+        None )
+  | "burst" ->
+      ( Some
+          (Faulty.config
+             ~burst:
+               (Faulty.burst ~p_good_bad:0.05 ~p_bad_good:0.3 ~drop_bad:0.5 ())
+             ~seed ()),
+        None )
+  | "corrupt" -> (Some (Faulty.config ~corrupt:0.08 ~seed ()), None)
+  | "perlink" ->
+      (Some (Faulty.config ~seed ()), Some (only_link_0 (bad_link ())))
+  | "combined" ->
+      ( Some
+          (Faulty.config ~drop:0.03 ~duplicate:0.02 ~reorder:0.1
+             ~reorder_hold_ns:hold ~corrupt:0.03
+             ~burst:
+               (Faulty.burst ~p_good_bad:0.03 ~p_bad_good:0.3 ~drop_bad:0.4 ())
+             ~seed ()),
+        Some (only_link_0 (bad_link ())) )
+  | _ -> invalid_arg ("unknown fault scenario " ^ name)
 
 (* The standing adversarial gate: all-to-all reliable flows on every
    fabric, swept across the whole fault matrix (uniform loss, Gilbert–
@@ -1547,27 +1284,12 @@ let doctor_cmd =
    leaks past the checksum into the application is counted — the number
    that must stay zero. *)
 let soakmatrix_cmd =
-  let module Sim = Flipc_sim.Engine in
-  let module Vtime = Flipc_sim.Vtime in
-  let module Mailbox = Flipc_sim.Sync.Mailbox in
-  let module Mem_port = Flipc_memsim.Mem_port in
-  let module Api = Flipc.Api in
-  let module Endpoint_kind = Flipc.Endpoint_kind in
   let module Faulty = Flipc_net.Faulty in
-  let module Retrans = Flipc_flow.Retrans in
-  let module Provision = Flipc_flow.Provision in
-  let module Monitor = Flipc_obs.Monitor in
   let module Json = Flipc_obs.Json in
   let msgs_arg =
     Arg.(
       value & opt int 25
       & info [ "messages" ] ~docv:"N" ~doc:"Messages per flow.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 21
-      & info [ "fault-seed" ] ~docv:"SEED"
-          ~doc:"PRNG seed for fault injection (runs replay bit-identically).")
   in
   let fabric_filter =
     Arg.(
@@ -1610,181 +1332,25 @@ let soakmatrix_cmd =
   let scenario_names =
     [ "uniform"; "burst"; "corrupt"; "perlink"; "combined" ]
   in
-  (* One directed bad link (node 0 toward its partner): drops, bursts and
-     corrupts while every other link stays clean. *)
-  let scenario_fault name ~seed ~hold ~half =
-    let bad_link () =
-      Faulty.config ~drop:0.15 ~corrupt:0.1
-        ~burst:(Faulty.burst ~p_good_bad:0.05 ~p_bad_good:0.3 ~drop_bad:0.5 ())
-        ~seed:(seed + 1) ()
-    in
-    let only_link_0 bad ~src ~dst =
-      if src = 0 && dst = half then Some bad else None
-    in
-    match name with
-    | "uniform" ->
-        ( Faulty.config ~drop:0.05 ~duplicate:0.02 ~reorder:0.15
-            ~reorder_hold_ns:hold ~seed (),
-          None )
-    | "burst" ->
-        ( Faulty.config
-            ~burst:
-              (Faulty.burst ~p_good_bad:0.05 ~p_bad_good:0.3 ~drop_bad:0.5 ())
-            ~seed (),
-          None )
-    | "corrupt" -> (Faulty.config ~corrupt:0.08 ~seed (), None)
-    | "perlink" ->
-        (Faulty.config ~seed (), Some (only_link_0 (bad_link ())))
-    | "combined" ->
-        ( Faulty.config ~drop:0.03 ~duplicate:0.02 ~reorder:0.1
-            ~reorder_hold_ns:hold ~corrupt:0.03
-            ~burst:
-              (Faulty.burst ~p_good_bad:0.03 ~p_bad_good:0.3 ~drop_bad:0.4 ())
-            ~seed (),
-          Some (only_link_0 (bad_link ())) )
-    | _ -> assert false
-  in
-  (* One soak cell: [nodes] flows, node i sending to node (i + n/2) mod n,
-     so every node both sends and receives through the faulted fabric. *)
+  (* One soak cell: every node sends to node (i + n/2) mod n, so every
+     node both sends and receives through the faulted fabric. *)
   let run_cell ~fabric_name ~kind ~cost ~nodes ~rto_ns ~pace_ns ~budget ~hold
       ~msgs ~seed ~scenario =
-    let half = nodes / 2 in
-    let fault, links = scenario_fault scenario ~seed ~hold ~half in
-    let config =
-      {
-        (Provision.config_for ~base:Config.default ~buffers:16) with
-        Config.frame_checksum = true;
-      }
+    let fault, links = scenario_fault scenario ~seed ~hold ~half:(nodes / 2) in
+    let r =
+      Stackflow.run ?fault ?fault_links:links ~cost
+        ~retrans:(retrans_config rto_ns) ~pace_ns ~budget ~kind ~messages:msgs
+        ()
     in
-    let machine =
-      Machine.create ~config ~cost ~fault ?fault_links:links kind ()
-    in
-    let mon = Machine.attach_monitor machine in
-    let sim = Machine.sim machine in
-    let rcfg =
-      {
-        Retrans.default_config with
-        Retrans.rto_ns;
-        max_rto_ns = 8 * rto_ns;
-      }
-    in
-    let stalled = ref 0 in
-    (* Counted once, in the Process_failure handler below. *)
-    let stall wd =
-      failwith
-        (Printf.sprintf "watchdog '%s' expired" (Monitor.Watchdog.name wd))
-    in
-    let delivered = ref 0
-    and retransmits = ref 0
-    and corrupt_leaks = ref 0 in
-    let payload_of ~flow ~idx ~bytes =
-      Bytes.init bytes (fun j -> Char.chr (((flow * 131) + (idx * 31) + j) land 0xff))
-    in
-    let ok = function
-      | Ok v -> v
-      | Error e -> failwith (Api.error_to_string e)
-    in
-    let senders_left = ref nodes in
-    for flow = 0 to nodes - 1 do
-      let src = flow and dst = (flow + half) mod nodes in
-      let data_addr = Mailbox.create () and ack_addr = Mailbox.create () in
-      let wname dir = Printf.sprintf "soak-%s-%s-%d-%s" fabric_name scenario flow dir in
-      (* rx on cpu 1, tx on cpu 0: each role gets its own memory port. *)
-      Machine.spawn_app ~name:(wname "rx") ~cpu:1 machine ~node:dst
-        (fun api ->
-          let data_ep =
-            ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ())
-          in
-          let ack_ep =
-            ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ())
-          in
-          Mailbox.put data_addr (Api.address api data_ep);
-          Api.connect api ack_ep (Mailbox.take ack_addr);
-          let r =
-            Retrans.create_receiver api ~sim ~data_ep ~ack_ep ~config:rcfg ()
-          in
-          let wd = Monitor.Watchdog.create ~budget ~sim ~name:(wname "rx") () in
-          let bytes = min 32 (Retrans.capacity api) in
-          let next = ref 1 in
-          while Retrans.delivered r < msgs do
-            match Retrans.recv r with
-            | Some p ->
-                Monitor.Watchdog.progress wd;
-                if not (Bytes.equal p (payload_of ~flow ~idx:!next ~bytes))
-                then incr corrupt_leaks;
-                incr next;
-                incr delivered
-            | None ->
-                if Monitor.Watchdog.expired wd then stall wd;
-                Mem_port.instr (Api.port api) 200
-          done;
-          (* Linger: a dropped final ack leaves the sender retransmitting
-             a message we already have. Keep draining (recv re-acks
-             duplicates) until every sender in the cell has flushed; the
-             watchdog bounds the linger if a sender dies. *)
-          Monitor.Watchdog.progress wd;
-          while !senders_left > 0 && not (Monitor.Watchdog.expired wd) do
-            (match Retrans.recv r with
-            | Some _ -> ()
-            | None -> Sim.delay pace_ns);
-            Mem_port.instr (Api.port api) 200
-          done);
-      Machine.spawn_app ~name:(wname "tx") ~cpu:0 machine ~node:src
-        (fun api ->
-          let data_ep =
-            ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ())
-          in
-          let ack_ep =
-            ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ())
-          in
-          Mailbox.put ack_addr (Api.address api ack_ep);
-          Api.connect api data_ep (Mailbox.take data_addr);
-          let s =
-            Retrans.create_sender api ~sim ~data_ep ~ack_ep ~config:rcfg ()
-          in
-          let wd = Monitor.Watchdog.create ~budget ~sim ~name:(wname "tx") () in
-          let bytes = min 32 (Retrans.capacity api) in
-          Fun.protect
-            ~finally:(fun () -> decr senders_left)
-            (fun () ->
-              for i = 1 to msgs do
-                (match Retrans.send s (payload_of ~flow ~idx:i ~bytes) with
-                | Ok () -> Monitor.Watchdog.progress wd
-                | Error `Timeout -> stall wd);
-                Sim.delay pace_ns
-              done;
-              (match Retrans.flush s ~timeout_ns:(Vtime.s 4) with
-              | Ok () -> ()
-              | Error `Timeout -> stall wd);
-              retransmits := !retransmits + Retrans.retransmits s))
-    done;
-    (* Each Process_failure kills exactly one simulation process; keep
-       running so the remaining flows finish and the cell reports how far
-       it got (the failure itself already marks the cell unclean). *)
-    let rec run_all stopping =
-      match
-        if stopping then Machine.stop_engines machine;
-        Machine.run machine
-      with
-      | () -> if not stopping then run_all true
-      | exception Flipc_sim.Engine.Process_failure (who, exn) ->
-          incr stalled;
-          Fmt.epr "flipc soakmatrix: %s/%s: %s: %s@." fabric_name scenario who
-            (Printexc.to_string exn);
-          run_all stopping
-    in
-    run_all false;
+    let machine = r.Stackflow.machine in
+    if r.Stackflow.watchdogs_expired > 0 then
+      Fmt.epr "flipc soakmatrix: %s/%s: %d flow process(es) aborted@."
+        fabric_name scenario r.Stackflow.watchdogs_expired;
     let corrupt_dropped = ref 0 in
     for i = 0 to Machine.node_count machine - 1 do
       let st = Flipc.Msg_engine.stats (Machine.msg_engine (Machine.node machine i)) in
       corrupt_dropped := !corrupt_dropped + st.Flipc.Msg_engine.corrupt_frames
     done;
-    let expected = nodes * msgs in
-    let violations = List.length (Monitor.violations mon) in
-    let clean =
-      Monitor.clean mon && !stalled = 0 && !delivered = expected
-      && !corrupt_leaks = 0
-    in
     let faults_json =
       match Machine.fault_stats machine with
       | Some f ->
@@ -1802,21 +1368,21 @@ let soakmatrix_cmd =
             ]
       | None -> Json.Null
     in
-    ( clean,
+    ( r.Stackflow.clean,
       Json.Obj
         [
           ("fabric", Json.String fabric_name);
           ("scenario", Json.String scenario);
           ("flows", Json.Int nodes);
-          ("expected", Json.Int expected);
-          ("delivered", Json.Int !delivered);
-          ("retransmits", Json.Int !retransmits);
-          ("corrupt_leaks", Json.Int !corrupt_leaks);
+          ("expected", Json.Int r.Stackflow.expected);
+          ("delivered", Json.Int r.Stackflow.delivered);
+          ("retransmits", Json.Int r.Stackflow.counters.Stackflow.retransmits);
+          ("corrupt_leaks", Json.Int r.Stackflow.corrupt_leaks);
           ("corrupt_frames_dropped", Json.Int !corrupt_dropped);
-          ("monitor_violations", Json.Int violations);
-          ("watchdogs_expired", Json.Int !stalled);
+          ("monitor_violations", Json.Int r.Stackflow.monitor_violations);
+          ("watchdogs_expired", Json.Int r.Stackflow.watchdogs_expired);
           ("faults", faults_json);
-          ("clean", Json.Bool clean);
+          ("clean", Json.Bool r.Stackflow.clean);
         ] )
   in
   let run trace msgs seed fabric_sel scenario_sel out assert_flag json_out =
@@ -1934,7 +1500,7 @@ let soakmatrix_cmd =
   Cmd.v
     (Cmd.info "soakmatrix" ~doc)
     Term.(
-      const run $ obs_out $ msgs_arg $ seed_arg $ fabric_filter
+      const run $ obs_out $ msgs_arg $ fault_seed 21 $ fabric_filter
       $ scenario_filter $ out_arg $ assert_clean $ json_flag)
 
 (* --- stack --- *)
@@ -1950,20 +1516,11 @@ let soakmatrix_cmd =
    reliable composition and must deliver exactly-once through the whole
    fault sweep. *)
 let stack_cmd =
-  let module Vtime = Flipc_sim.Vtime in
-  let module Faulty = Flipc_net.Faulty in
-  let module Stackflow = Flipc_workload.Stackflow in
   let module Json = Flipc_obs.Json in
   let msgs_arg =
     Arg.(
       value & opt int 25
       & info [ "messages" ] ~docv:"N" ~doc:"Messages per flow.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 31
-      & info [ "fault-seed" ] ~docv:"SEED"
-          ~doc:"PRNG seed for fault injection (runs replay bit-identically).")
   in
   let stack_names =
     [
@@ -2014,46 +1571,6 @@ let stack_cmd =
           ~doc:"Emit the JSON document on stdout instead of the text table.")
   in
   let nodes = 4 in
-  let half = nodes / 2 in
-  let hold = 100_000 in
-  let scenario_fault name ~seed =
-    let bad_link () =
-      Faulty.config ~drop:0.15 ~corrupt:0.1
-        ~burst:(Faulty.burst ~p_good_bad:0.05 ~p_bad_good:0.3 ~drop_bad:0.5 ())
-        ~seed:(seed + 1) ()
-    in
-    let only_link_0 bad ~src ~dst =
-      if src = 0 && dst = half then Some bad else None
-    in
-    match name with
-    | "clean" -> (None, None)
-    | "uniform" ->
-        ( Some
-            (Faulty.config ~drop:0.05 ~duplicate:0.02 ~reorder:0.15
-               ~reorder_hold_ns:hold ~seed ()),
-          None )
-    | "burst" ->
-        ( Some
-            (Faulty.config
-               ~burst:
-                 (Faulty.burst ~p_good_bad:0.05 ~p_bad_good:0.3 ~drop_bad:0.5
-                    ())
-               ~seed ()),
-          None )
-    | "corrupt" -> (Some (Faulty.config ~corrupt:0.08 ~seed ()), None)
-    | "perlink" ->
-        (Some (Faulty.config ~seed ()), Some (only_link_0 (bad_link ())))
-    | "combined" ->
-        ( Some
-            (Faulty.config ~drop:0.03 ~duplicate:0.02 ~reorder:0.1
-               ~reorder_hold_ns:hold ~corrupt:0.03
-               ~burst:
-                 (Faulty.burst ~p_good_bad:0.03 ~p_bad_good:0.3 ~drop_bad:0.4
-                    ())
-               ~seed ()),
-          Some (only_link_0 (bad_link ())) )
-    | _ -> assert false
-  in
   (* Which scenarios a composition promises to survive. *)
   let scenarios_for stack =
     match stack with
@@ -2063,11 +1580,13 @@ let stack_cmd =
         [ "clean" ]
   in
   let run_cell ~stack ~scenario ~msgs ~seed =
-    let fault, links = scenario_fault scenario ~seed in
+    let fault, links =
+      scenario_fault scenario ~seed ~hold:100_000 ~half:(nodes / 2)
+    in
     let r =
       Stackflow.run ~stack ?fault ?fault_links:links
         ~kind:(Machine.Mesh { cols = 2; rows = 2 })
-        ~nodes ~messages:msgs ()
+        ~messages:msgs ()
     in
     ( r.Stackflow.clean,
       Json.Obj
@@ -2077,7 +1596,7 @@ let stack_cmd =
           ("flows", Json.Int nodes);
           ("expected", Json.Int r.Stackflow.expected);
           ("delivered", Json.Int r.Stackflow.delivered);
-          ("retransmits", Json.Int r.Stackflow.retransmits);
+          ("retransmits", Json.Int r.Stackflow.counters.Stackflow.retransmits);
           ("corrupt_leaks", Json.Int r.Stackflow.corrupt_leaks);
           ("transport_drops", Json.Int r.Stackflow.transport_drops);
           ("monitor_violations", Json.Int r.Stackflow.monitor_violations);
@@ -2177,7 +1696,7 @@ let stack_cmd =
   in
   Cmd.v (Cmd.info "stack" ~doc)
     Term.(
-      const run $ obs_out $ msgs_arg $ seed_arg $ stack_filter
+      const run $ obs_out $ msgs_arg $ fault_seed 31 $ stack_filter
       $ scenario_filter $ out_arg $ assert_clean $ json_flag)
 
 (* --- trace --- *)

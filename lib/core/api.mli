@@ -62,8 +62,9 @@ val instr_ns : t -> int
     Every successful send stamps a process-unique 28-bit message id into
     the message's state word (see {!Msg_buffer}); trace events along the
     whole path carry it. These accessors let layers above (e.g.
-    {!Flipc_flow.Retrans}) correlate their own sequence numbers with the
-    id of the message they just sent or received. 0 = none yet. *)
+    {!Flipc_flow.Retrans_layer} over the channel transport) correlate
+    their own sequence numbers with the id of the message they just sent
+    or received. 0 = none yet. *)
 
 (** Id stamped by the most recent successful [send]/[send_to] on this
     attachment. *)

@@ -124,14 +124,8 @@ let send_deadline t ~deadline payload =
             (queue_buf t buf payload :> (unit, [ error | `Timeout ]) result)
       end
 
-(* Deprecated spin-count variant: each legacy spin polled once and burned
-   10 instructions, so the equivalent time budget is
-   [max_spins * 10 * instr_ns] from now. *)
-let send_timeout t ?(max_spins = 100_000) payload =
-  let deadline = Api.now t.t_api + (max_spins * 10 * Api.instr_ns t.t_api) in
-  send_deadline t ~deadline payload
-
 let sent t = t.t_sent
+let tx_endpoint t = t.t_ep
 
 let create_rx api ?(depth = 4) ?semaphore () =
   if depth < 1 then invalid_arg "Channel.create_rx: depth < 1";
@@ -195,4 +189,5 @@ let rec recv_wait t thr =
 
 let corrupt_frames t = t.r_corrupt
 let received t = t.r_received
+let rx_endpoint t = t.r_ep
 let drops t = Api.drops_read_and_reset t.r_api t.r_ep

@@ -61,17 +61,12 @@ val try_send : tx -> Bytes.t -> (unit, error) result
 val send_deadline :
   tx -> deadline:int -> Bytes.t -> (unit, [ error | `Timeout ]) result
 
-(** [send_timeout t payload] is the deprecated spin-count variant of
-    {!send_deadline}: [max_spins] (default 100_000) legacy polls are
-    converted to the equivalent virtual-time budget
-    ([max_spins * 10 * instr_ns] from now), so the actual duration
-    depends on the node's cost model. New code should state a deadline
-    directly. *)
-val send_timeout :
-  tx -> ?max_spins:int -> Bytes.t -> (unit, [ error | `Timeout ]) result
-
 (** Messages queued so far. *)
 val sent : tx -> int
+
+(** The send endpoint underneath (layers above key their trace events
+    and probes on it). *)
+val tx_endpoint : tx -> Api.endpoint
 
 (** {1 Receiver} *)
 
@@ -97,6 +92,9 @@ val recv_wait : rx -> Flipc_rt.Sched.thread -> Bytes.t
 
 (** Messages consumed so far. *)
 val received : rx -> int
+
+(** The receive endpoint underneath. *)
+val rx_endpoint : rx -> Api.endpoint
 
 (** Frames discarded because their length header was garbage (a peer not
     speaking the channel framing); the channel skips them rather than

@@ -1,6 +1,8 @@
 module Api = Flipc.Api
+module Address = Flipc.Address
 module Channel = Flipc.Channel
 module Mem_port = Flipc_memsim.Mem_port
+module Obs = Flipc_obs.Obs
 
 type t = {
   api : Api.t;
@@ -67,6 +69,41 @@ include Transport.Defaults (struct
 end)
 
 let close t = t.closed <- true
+
+type site = { api : Api.t; tx_ep : Api.endpoint; rx_ep : Api.endpoint }
+
+let site t =
+  match t.tx with
+  | Some tx ->
+      {
+        api = t.api;
+        tx_ep = Channel.tx_endpoint tx;
+        rx_ep = Channel.rx_endpoint t.rx;
+      }
+  | None -> invalid_arg "Channel_transport.site: not connected"
+
+let trace site ep ev =
+  match Api.obs site.api with
+  | Some o when Obs.tracing o ->
+      let addr = Api.address site.api ep in
+      Obs.event o (ev ~node:(Address.node addr) ~ep:(Address.endpoint addr))
+  | _ -> ()
+
+let register_probes site ~layer ep fields =
+  match Api.obs site.api with
+  | Some o ->
+      let addr = Api.address site.api ep in
+      let pfx =
+        Printf.sprintf "node%d.%s.ep%d." (Address.node addr) layer
+          (Address.endpoint addr)
+      in
+      List.iter
+        (fun (name, read) ->
+          Flipc_obs.Metrics.probe (Obs.metrics o) (pfx ^ name) (fun () ->
+              float_of_int (read ())))
+        fields
+  | None -> ()
+
 let drops t = Channel.drops t.rx
 let corrupt_frames t = Channel.corrupt_frames t.rx
 

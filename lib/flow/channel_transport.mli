@@ -60,6 +60,43 @@ val address : t -> Flipc.Address.t
     [`Closed] if already connected or closed. *)
 val connect : t -> Flipc.Address.t -> (unit, Transport.error) result
 
+(** {1 Trace site}
+
+    A layer stacked {e directly} on this transport can report in the
+    machine's observability: its frames are exactly this connection's
+    FLIPC messages, so {!Flipc.Api.last_msg_id} and
+    {!Flipc.Api.last_recv_msg_id} name the message a frame just
+    travelled in. *)
+
+(** The attachment plus the connection's send and receive endpoints. *)
+type site = {
+  api : Flipc.Api.t;
+  tx_ep : Flipc.Api.endpoint;
+  rx_ep : Flipc.Api.endpoint;
+}
+
+(** [site t] of a connected transport. Raises [Invalid_argument] before
+    {!connect}. *)
+val site : t -> site
+
+(** [trace site ep ev] records [ev ~node ~ep] — [ep]'s node and endpoint
+    number — when the machine is tracing; otherwise does nothing. *)
+val trace :
+  site ->
+  Flipc.Api.endpoint ->
+  (node:int -> ep:int -> Flipc_obs.Event.t) ->
+  unit
+
+(** [register_probes site ~layer ep fields] exports each [(name, read)]
+    as the pull-probe [node<i>.<layer>.ep<n>.<name>] on the machine's
+    metrics registry (sampled at snapshot time). *)
+val register_probes :
+  site ->
+  layer:string ->
+  Flipc.Api.endpoint ->
+  (string * (unit -> int)) list ->
+  unit
+
 (** {1 Counters} *)
 
 (** Transport discards at this side's receive endpoint since the last

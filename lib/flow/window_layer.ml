@@ -1,8 +1,12 @@
 (* Frames on the base transport carry a one-byte tag:
      tag 0: data   [0x00 | application payload]
      tag 1: credit [0x01 | cumulative consumed count, int32 LE]
-   Cumulative credit counts make credit loss self-healing, exactly as
-   in the endpoint-pair {!Window} module. *)
+   Cumulative credit counts make credit loss self-healing: any later
+   grant supersedes a lost one. *)
+
+module Api = Flipc.Api
+module Event = Flipc_obs.Event
+module Site = Channel_transport
 
 let tag_data = '\000'
 let tag_credit = '\001'
@@ -13,34 +17,54 @@ module Make (T : Transport.S) = struct
     base : T.t;
     window : int;
     grant_every : int;
+    site : Site.site option;
     rxq : Bytes.t Queue.t;
     mutable sent : int;
     mutable granted : int; (* peer's highest cumulative consumed count *)
+    mutable received : int;
     mutable consumed : int;
+    mutable credits_sent : int;
     mutable pending_grants : int;
     mutable credit_due : bool; (* a grant hit backpressure; retry *)
     mutable closed : bool;
   }
 
-  let create base ~window ?grant_every () =
+  let create base ~window ?grant_every ?site () =
     if window < 1 then invalid_arg "Window_layer: window < 1";
     let grant_every =
       match grant_every with
       | Some g -> max 1 g
       | None -> max 1 (window / 2)
     in
-    {
-      base;
-      window;
-      grant_every;
-      rxq = Queue.create ();
-      sent = 0;
-      granted = 0;
-      consumed = 0;
-      pending_grants = 0;
-      credit_due = false;
-      closed = false;
-    }
+    let t =
+      {
+        base;
+        window;
+        grant_every;
+        site;
+        rxq = Queue.create ();
+        sent = 0;
+        granted = 0;
+        received = 0;
+        consumed = 0;
+        credits_sent = 0;
+        pending_grants = 0;
+        credit_due = false;
+        closed = false;
+      }
+    in
+    Option.iter
+      (fun s ->
+        Site.register_probes s ~layer:"window" s.Site.tx_ep
+          [ ("sent", fun () -> t.sent); ("granted", fun () -> t.granted) ];
+        Site.register_probes s ~layer:"window" s.Site.rx_ep
+          [
+            ("received", fun () -> t.received);
+            ("consumed", fun () -> t.consumed);
+            ("credits_sent", fun () -> t.credits_sent);
+          ])
+      site;
+    t
 
   let capacity t = T.capacity t.base - 1
   let now t = T.now t.base
@@ -56,6 +80,12 @@ module Make (T : Transport.S) = struct
     match T.try_send t.base (encode_credit t.consumed) with
     | Ok () ->
         t.credit_due <- false;
+        t.credits_sent <- t.credits_sent + 1;
+        (match t.site with
+        | None -> ()
+        | Some s ->
+            Site.trace s s.Site.rx_ep (fun ~node ~ep ->
+                Event.Credit_grant { node; ep; count = t.consumed }));
         Ok ()
     | Error `No_buffer ->
         (* The base refused transiently; the cumulative count lets any
@@ -69,6 +99,7 @@ module Make (T : Transport.S) = struct
     else
       match Bytes.get frame 0 with
       | c when c = tag_data ->
+          t.received <- t.received + 1;
           Queue.push (Bytes.sub frame 1 (Bytes.length frame - 1)) t.rxq
       | c when c = tag_credit ->
           if Bytes.length frame >= credit_bytes then begin
@@ -113,6 +144,19 @@ module Make (T : Transport.S) = struct
           match T.try_send t.base framed with
           | Ok () ->
               t.sent <- t.sent + 1;
+              (match t.site with
+              | None -> ()
+              | Some s ->
+                  Site.trace s s.Site.tx_ep (fun ~node ~ep ->
+                      Event.Window_send
+                        {
+                          node;
+                          ep;
+                          mid = Api.last_msg_id s.Site.api;
+                          sent = t.sent;
+                          granted = t.granted;
+                          window = t.window;
+                        }));
               Ok ()
           | Error e -> Error e
         end

@@ -1,12 +1,14 @@
 (** Credit-window flow control as a functor over any {!Transport.S}.
 
-    The same scheme as {!Window} — the receiver grants cumulative
-    credits as the application consumes, the sender never exceeds
-    [window] unconsumed messages — but expressed as a stackable layer:
-    [Window_layer (Channel_transport)] reproduces the classic
-    flow-controlled channel, and the result is itself a transport, so
-    a reliability layer can ride on top ([Retrans_layer (Window_layer
-    (...))] — inexpressible with the endpoint-pair modules).
+    FLIPC's optimistic transport discards messages that find no posted
+    receive buffer; applications that cannot statically provision
+    ({!Provision}) run a library like this one between themselves and
+    FLIPC — the structure the paper prescribes, and the window scheme
+    PAM's active-message facility uses. The receiver grants cumulative
+    credits as the application consumes; the sender never exceeds
+    [window] unconsumed messages. [Window_layer (Channel_transport)] is
+    the classic flow-controlled channel, and the result is itself a
+    transport, so a reliability layer can ride on top or below.
 
     Both directions of the duplex connection are flow-controlled
     independently; data and credit frames share the underlying
@@ -16,7 +18,13 @@
     recovered by any later one. Because credit is granted only when the
     application consumes ({!Transport.S.recv}), the layer's inbound
     queue never holds more than [window] messages — flow control
-    doubles as receive-buffer provisioning. *)
+    doubles as receive-buffer provisioning.
+
+    Given a {!Channel_transport.site} (only for the layer directly on
+    {!Channel_transport}), the layer emits [Window_send] on the site's
+    send endpoint and [Credit_grant] on its receive endpoint, and
+    registers [node<i>.window.ep<n>.*] probes. Without a site it emits
+    nothing. *)
 
 module Make (T : Transport.S) : sig
   type t
@@ -45,8 +53,15 @@ module Make (T : Transport.S) : sig
 
   (** [create conn ~window ()] wraps a connected base transport. Both
       ends of the connection must be wrapped with the same [window] and
-      [grant_every] (default [max 1 (window / 2)]). *)
-  val create : T.t -> window:int -> ?grant_every:int -> unit -> t
+      [grant_every] (default [max 1 (window / 2)]). [site] turns on the
+      layer's events and probes. *)
+  val create :
+    T.t ->
+    window:int ->
+    ?grant_every:int ->
+    ?site:Channel_transport.site ->
+    unit ->
+    t
 
   (** Sender-side credits currently available. *)
   val credits_available : t -> int

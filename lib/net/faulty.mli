@@ -3,10 +3,10 @@
     Every concrete fabric here ({!Mesh}, {!Ethernet}, {!Scsi_bus},
     {!Hypercube}) is perfectly reliable, which leaves the optimistic
     transport's whole recovery story — drop counters, flow-control
-    libraries, retransmission ({!Flipc_flow.Retrans}), the frame checksum
-    — untested. [wrap] interposes on an underlying fabric's [send] and
-    injects configurable, PRNG-seeded faults before the packet reaches
-    the wire:
+    libraries, retransmission ({!Flipc_flow.Retrans_layer}), the frame
+    checksum — untested. [wrap] interposes on an underlying fabric's
+    [send] and injects configurable, PRNG-seeded faults before the
+    packet reaches the wire:
 
     - {b drop}: the packet silently vanishes (uniform i.i.d.);
     - {b burst drop}: a two-state Gilbert–Elliott channel — a Markov

@@ -14,7 +14,7 @@
     a doorbell on (node, ep) attaches to every message enqueued there
     whose [Engine_tx] has not yet been observed.
 
-    Retransmissions by {!Flipc_flow.Retrans} stamp a {e fresh} mid per
+    Retransmissions by {!Flipc_flow.Retrans_layer} stamp a {e fresh} mid per
     wire traversal; the [Frame_tx] events link them by sequence number
     ({!retransmissions}). *)
 

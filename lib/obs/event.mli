@@ -64,13 +64,19 @@ type t =
       seq : int;
       mid : int;
       retransmit : bool;
-    }  (** {!Flipc_flow.Retrans} put frame [seq] on the wire as message
-           [mid]; retransmissions carry a fresh [mid], linked by [seq] *)
+    }  (** {!Flipc_flow.Retrans_layer} put frame [seq] on the wire as
+           message [mid], keyed on its send endpoint; retransmissions
+           carry a fresh [mid], linked by [seq] *)
   | Frame_deliver of { node : int; ep : int; seq : int; mid : int }
-      (** the receiver released frame [seq] to the application, in order *)
+      (** the receiver released frame [seq] (which arrived as message
+          [mid]) to the application, in order; keyed on its receive
+          endpoint *)
   | Ack_tx of { node : int; ep : int; cum : int; sacked : int }
-      (** cumulative ack [cum] (+ [sacked] selective-ack bits) sent *)
+      (** cumulative ack [cum] (+ [sacked] selective-ack bits) sent,
+          keyed on the acknowledging side's receive endpoint *)
   | Credit_grant of { node : int; ep : int; count : int }
+      (** {!Flipc_flow.Window_layer} receiver granted credit up to its
+          cumulative consumed [count], keyed on its receive endpoint *)
   | Window_send of {
       node : int;
       ep : int;
@@ -78,7 +84,9 @@ type t =
       sent : int;
       granted : int;
       window : int;
-    }  (** {!Flipc_flow.Window} sender counters at the moment of a send *)
+    }
+      (** {!Flipc_flow.Window_layer} sender counters at the moment of a
+          send, keyed on its send endpoint *)
   | Drops_read of { node : int; ep : int; count : int }
       (** the application read-and-reset [count] drops on [ep] *)
   | Engine_park of { node : int; idle : int }

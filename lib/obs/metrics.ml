@@ -87,7 +87,7 @@ let histo_summary h = Sketch.summary h.sketch
 let probe t name f =
   check_name name;
   (* Last registration wins: probes are re-registered when a component is
-     rebuilt (e.g. a fresh Retrans sender on the same endpoints). *)
+     rebuilt (e.g. a fresh Retrans_layer on the same endpoints). *)
   Hashtbl.replace t.tbl name (Probe f)
 
 (* ------------------------------------------------------------------ *)

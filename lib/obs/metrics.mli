@@ -11,8 +11,8 @@
       update it from the hot path;
     - {b pull} ({!probe}): register a sampling closure over state a
       component already maintains (how [Msg_engine.stats],
-      [Retrans]'s retry/RTO state, [Faulty]'s fault tallies and
-      [Window]'s credit-drop count are exported without double
+      [Retrans_layer]'s retry/RTO state, [Window_layer]'s credit counts
+      and [Faulty]'s fault tallies are exported without double
       bookkeeping). Probes are read at snapshot time.
 
     Histograms are log-bucketed sketches ({!Sketch}): constant storage

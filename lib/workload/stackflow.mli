@@ -1,14 +1,15 @@
-(** Layered-stack soak flows: all-to-all traffic over a composed
-    {!Flipc_flow.Transport} stack, with exactly-once verification.
+(** Reliable and flow-controlled flows over a composed
+    {!Flipc_flow.Transport} stack: the one driver every reliable flow in
+    the CLI, the bench harness and the tests runs through.
 
-    Where {!Flipc_flow.Retrans} soaks exercise the endpoint-pair
-    modules, this workload drives the {e stacked} implementations —
-    {!Flipc_flow.Channel_transport} at the base with
+    {!Flipc_flow.Channel_transport} sits at the base, with
     {!Flipc_flow.Retrans_layer} / {!Flipc_flow.Window_layer} functors
-    above — through a faulted machine: node [i] streams [messages]
-    verified payloads to node [(i + n/2) mod n], every node both
-    sending and receiving, with an invariant monitor attached and a
-    virtual-time watchdog per flow.
+    above, on a faulted machine: flow [i] streams [messages] verified
+    payloads from node [i] to node [(i + n/2) mod n] of the [n]-node
+    machine, with an invariant monitor attached and a virtual-time
+    watchdog per process. The layer directly on the channel gets its
+    {!Flipc_flow.Channel_transport.site}, so frame, ack and credit
+    events reach the monitor and causal tracing.
 
     Receivers check every delivered payload against the pattern the
     sender wrote and require strict in-order, exactly-once delivery;
@@ -28,45 +29,73 @@ type stack =
 
 val stack_name : stack -> string
 
+(** Retransmission-layer counters, summed over every connection end
+    (all zero for stacks without a retransmission layer) — except
+    [srtt_ns] and [rto_current_ns], the flows' mean of each sender's
+    final round-trip estimate and live timeout. *)
+type counters = {
+  retransmits : int;
+  backpressure : int;
+  duplicates : int;
+  reordered : int;
+  ooo_buffered : int;
+  acks_sent : int;
+  reacks_suppressed : int;
+  srtt_ns : int;
+  rto_current_ns : int;
+}
+
 type result = {
   expected : int;
   delivered : int;
-  retransmits : int;  (** 0 for stacks without a retransmission layer *)
+  latencies_us : float list;
+      (** per delivered message, from the send call to in-order
+          delivery at the top of the stack, in delivery order *)
+  counters : counters;
   corrupt_leaks : int;  (** delivered payloads that failed verification *)
   transport_drops : int;  (** optimistic discards at base receive endpoints *)
-  watchdogs_expired : int;
+  watchdogs_expired : int;  (** flow processes that aborted *)
+  stall_report : string option;
+      (** the first expired watchdog's flight-recorder report *)
+  monitor : Flipc_obs.Monitor.t;
   monitor_violations : int;
+  machine : Flipc.Machine.t;
+      (** the drained machine: fault stats, engine counters, [Obs] *)
   clean : bool;
       (** all delivered, nothing corrupt, no stall, monitor clean *)
 }
 
-(** [run ~kind ~nodes ~messages ()] builds the machine (frame checksum
-    on), runs [nodes] flows over the chosen [stack] and returns the
-    tally.
+(** [run ~kind ~messages ()] builds the machine (frame checksum on),
+    runs the flows over the chosen [stack] to completion and returns
+    the tally.
 
     @param stack default [Retrans_over_channel]
     @param fault fabric-wide fault injection (default none)
     @param fault_links per-link fault overrides
     @param cost memory cost model (default paragon)
-    @param rto_ns retransmission timeout for the retrans layer
-      (default 200us; set above the fabric round trip)
+    @param retrans retransmission-layer config, mode included (default
+      {!Flipc_flow.Retrans_layer.default_config} with [rto_ns = 200us]
+      and [max_rto_ns = 1.6ms]; set [rto_ns] above the fabric round
+      trip)
     @param pace_ns inter-message virtual delay per sender (default 25us)
-    @param budget per-flow watchdog budget (default 50ms)
+    @param budget per-process watchdog budget (default 50ms)
     @param window window size for the window layer (default 6)
     @param payload_bytes verified payload size (default 32, clamped to
-      the stack's capacity) *)
+      the stack's capacity)
+    @param flows how many of the [i -> i + n/2] flows to run (default
+      one per node) *)
 val run :
   ?stack:stack ->
   ?fault:Flipc_net.Faulty.config ->
   ?fault_links:Flipc_net.Faulty.links ->
   ?cost:Flipc_memsim.Cost_model.t ->
-  ?rto_ns:int ->
+  ?retrans:Flipc_flow.Retrans_layer.config ->
   ?pace_ns:int ->
   ?budget:Flipc_sim.Vtime.t ->
   ?window:int ->
   ?payload_bytes:int ->
+  ?flows:int ->
   kind:Flipc.Machine.fabric_kind ->
-  nodes:int ->
   messages:int ->
   unit ->
   result

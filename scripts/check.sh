@@ -123,7 +123,8 @@ else
 fi
 
 echo "== retrans smoke =="
-# Selective-repeat gate: on a reorder-only wire (no loss) the SACK
+# Selective-repeat gate (Retrans_layer over the channel transport,
+# driven by Stackflow): on a reorder-only wire (no loss) the SACK
 # receiver buffers the overtaken frames, so the sender should barely
 # retransmit — the ratio bound exits 1 if selective repeat regresses
 # toward go-back-N behaviour. The retrans_modes bench then records the
@@ -151,14 +152,17 @@ else
 fi
 
 echo "== doctor gate =="
-# Correlation-and-diagnosis layer: the doctor scenario (reliable flows
-# over a lossy 4x4 mesh with causal tracing, online invariant monitors
-# and progress watchdogs attached) must come back clean — no invariant
-# violations, no watchdog expiry, every message delivered. Then the
-# formerly hanging soak seed is pinned: QCHECK_SEED=12 used to spin
-# forever in a raw-channel receive loop after an optimistic discard
-# (see DESIGN.md §13); under window flow control and watchdogs it must
-# pass, not hang. The live run streams its flight data to a capture
+# Correlation-and-diagnosis layer: the doctor scenario (Retrans_layer
+# flows over a lossy 4x4 mesh with causal tracing, online invariant
+# monitors and progress watchdogs attached) must come back clean — no
+# invariant violations, no watchdog expiry, every message delivered —
+# and must show retransmitted frames: the seed-7 lossy mesh always
+# retransmits, so zero means the layer's Frame_tx events no longer
+# reach causal tracing. Then the formerly hanging soak seed is pinned:
+# QCHECK_SEED=12 used to spin forever in a raw-channel receive loop
+# after an optimistic discard (see DESIGN.md §13); over Window_layer
+# flow control and watchdogs it must pass, not hang. The live run
+# streams its flight data to a capture
 # file, and an offline replay of that file must re-derive the exact
 # same report — byte-for-byte — or the black-box debugging story is
 # broken.
@@ -203,6 +207,7 @@ assert doc['delivered'] == doc['expected'], 'doctor lost messages'
 assert doc['monitor_violations'] == 0, 'invariant monitor fired'
 assert not doc['stalled'], 'a progress watchdog expired'
 assert doc['spans_traced'] > 0, 'causal tracing captured nothing'
+assert doc['retransmitted_frames'] > 0, 'no Frame_tx reached causal tracing'
 assert doc['monitor_events_seen'] > 0, 'monitors saw no events'
 diff = json.load(open('$obs_tmp/doctor_diff.json'))
 assert diff['violations_added'] == 0, 'self-diff invented a regression'
@@ -210,6 +215,7 @@ assert diff['sites'], 'cross-run diff aligned no message sites'
 "
 else
   grep -q '"clean":true' "$obs_tmp/doctor.json"
+  ! grep -q '"retransmitted_frames":0,' "$obs_tmp/doctor.json"
   grep -q '"violations_added":0' "$obs_tmp/doctor_diff.json"
 fi
 

@@ -16,7 +16,7 @@ module Comm_buffer = Flipc.Comm_buffer
 module Endpoint_kind = Flipc.Endpoint_kind
 module Nameservice = Flipc.Nameservice
 module Faulty = Flipc_net.Faulty
-module Retrans = Flipc_flow.Retrans
+module Stackflow = Flipc_workload.Stackflow
 module Provision = Flipc_flow.Provision
 module Obs = Flipc_obs.Obs
 module Event = Flipc_obs.Event
@@ -157,57 +157,143 @@ let test_monitor_clean_on_lossy_mesh () =
     Faulty.config ~drop:0.04 ~duplicate:0.02 ~reorder:0.2
       ~reorder_hold_ns:100_000 ~seed:5 ()
   in
-  let config = Provision.config_for ~base:Config.default ~buffers:16 in
-  let machine =
-    Machine.create ~config ~fault (Machine.Mesh { cols = 4; rows = 4 }) ()
+  let r =
+    Stackflow.run ~fault ~flows:2 ~messages:12
+      ~kind:(Machine.Mesh { cols = 4; rows = 4 })
+      ()
   in
-  let mon = Machine.attach_monitor machine in
-  let sim = Machine.sim machine in
-  let rcfg =
-    { Retrans.default_config with Retrans.rto_ns = 200_000; max_rto_ns = 1_600_000 }
-  in
-  let msgs = 12 in
-  let flows = 2 in
-  let delivered = ref 0 in
-  for flow = 0 to flows - 1 do
-    let src = flow and dst = 15 - flow in
-    let data_addr = Mailbox.create () and ack_addr = Mailbox.create () in
-    Machine.spawn_app machine ~node:dst (fun api ->
-        let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
-        let ack_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-        Mailbox.put data_addr (Api.address api data_ep);
-        Api.connect api ack_ep (Mailbox.take ack_addr);
-        let r = Retrans.create_receiver api ~sim ~data_ep ~ack_ep ~config:rcfg () in
-        while Retrans.delivered r < msgs do
-          match Retrans.recv r with
-          | Some _ -> incr delivered
-          | None -> Mem_port.instr (Api.port api) 200
-        done);
-    Machine.spawn_app machine ~node:src (fun api ->
-        let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-        let ack_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
-        Mailbox.put ack_addr (Api.address api ack_ep);
-        Api.connect api data_ep (Mailbox.take data_addr);
-        let s = Retrans.create_sender api ~sim ~data_ep ~ack_ep ~config:rcfg () in
-        for i = 1 to msgs do
-          (match Retrans.send s (Bytes.make 24 (Char.chr (64 + i))) with
-          | Ok () -> ()
-          | Error `Timeout -> Alcotest.fail "sender timed out");
-          Sim.delay (Vtime.us 25)
-        done;
-        match Retrans.flush s ~timeout_ns:(Vtime.s 2) with
-        | Ok () -> ()
-        | Error `Timeout -> Alcotest.fail "flush timed out")
-  done;
-  Machine.run machine;
-  Machine.stop_engines machine;
-  Machine.run machine;
-  check "all delivered" (flows * msgs) !delivered;
+  let mon = r.Stackflow.monitor in
+  check "all delivered" r.Stackflow.expected r.Stackflow.delivered;
   check_bool "monitor saw traffic" true (Monitor.events_seen mon > 0);
   if not (Monitor.clean mon) then
     Alcotest.fail (Format.asprintf "false positives:@.%a" Monitor.pp_report mon);
   check_bool "spans reconstructed" true
-    (Causal.spans [ Machine.obs machine ] <> [])
+    (Causal.spans [ Machine.obs r.Stackflow.machine ] <> [])
+
+(* --- layer events over the channel transport --- *)
+
+module CT = Flipc_flow.Channel_transport
+module RC = Flipc_flow.Retrans_layer.Make (CT)
+module WL = Flipc_flow.Window_layer.Make (CT)
+
+(* One flow of [messages] over a layer on the channel transport between
+   the two nodes of a monitored mesh: the receiver lingers until the
+   sender stands down, so a lost final ack cannot strand it. *)
+module Layer_flow (T : Flipc_flow.Transport.S) = struct
+  let run machine ~wrap ~messages =
+    let rx_done = ref false and tx_done = ref false in
+    Pair.spawn machine ~wrap
+      ~a:(fun c ->
+        for i = 1 to messages do
+          Pair.terr
+            (T.send c
+               ~deadline:(T.now c + Vtime.ms 50)
+               (Bytes.make 16 (Char.chr i)))
+        done;
+        while not !rx_done do
+          Pair.terr (T.pump c);
+          T.idle c
+        done;
+        tx_done := true)
+      ~b:(fun c ->
+        let got = ref 0 in
+        while !got < messages do
+          match Pair.terr (T.recv c) with Some _ -> incr got | None -> T.idle c
+        done;
+        rx_done := true;
+        while not !tx_done do
+          ignore (Pair.terr (T.recv c) : Bytes.t option);
+          T.idle c
+        done)
+      ()
+end
+
+module Retrans_flow = Layer_flow (RC)
+module Window_flow = Layer_flow (WL)
+
+(* Both layer flows, each on its own monitored machine — the retrans one
+   over a lossy wire — with every recorded event captured in order. The
+   layers get their trace site only when [site]. *)
+let layer_runs ~site =
+  let rcfg =
+    {
+      Flipc_flow.Retrans_layer.default_config with
+      Flipc_flow.Retrans_layer.rto_ns = 200_000;
+      max_rto_ns = 1_600_000;
+    }
+  in
+  let site s = if site then Some s else None in
+  let run ?fault flow =
+    let config = Provision.config_for ~base:Config.default ~buffers:16 in
+    let machine =
+      Machine.create ~config ?fault (Machine.Mesh { cols = 2; rows = 1 }) ()
+    in
+    let mon = Machine.attach_monitor machine in
+    let events = ref [] in
+    Obs.add_watcher (Machine.obs machine) (fun now ev ->
+        events := (now, ev) :: !events);
+    flow machine;
+    Pair.drain machine;
+    (machine, mon, List.rev !events)
+  in
+  [
+    run ~fault:(Faulty.config ~drop:0.1 ~seed:3 ()) (fun m ->
+        Retrans_flow.run m ~messages:60 ~wrap:(fun base s ->
+            RC.create base ~config:rcfg ?site:(site s) ()));
+    run (fun m ->
+        Window_flow.run m ~messages:60 ~wrap:(fun base s ->
+            WL.create base ~window:4 ?site:(site s) ()));
+  ]
+
+let layer_kinds =
+  [ "frame_tx"; "frame_deliver"; "ack_tx"; "window_send"; "credit_grant" ]
+
+let kinds_seen runs =
+  List.concat_map
+    (fun (_, _, evs) -> List.map (fun (_, ev) -> Event.name ev) evs)
+    runs
+  |> List.filter (fun k -> List.mem k layer_kinds)
+  |> List.sort_uniq compare
+
+(* With a site, the layers feed the monitor all five flow-event kinds,
+   the invariants hold on a lossy run, causal tracing links the
+   retransmitted frames, and a Frame_deliver replayed twice from the
+   captured stream is caught as a duplicate delivery. *)
+let test_layer_events_monitored () =
+  let runs = layer_runs ~site:true in
+  Alcotest.(check (list string))
+    "every layer event kind observed" (List.sort compare layer_kinds)
+    (kinds_seen runs);
+  List.iter
+    (fun (_, mon, _) ->
+      if not (Monitor.clean mon) then
+        Alcotest.fail (Format.asprintf "@[<v>%a@]" Monitor.pp_report mon))
+    runs;
+  let machine, _, events = List.hd runs in
+  check_bool "retransmitted frames linked by seq" true
+    (Causal.retransmissions (Causal.spans [ Machine.obs machine ]) <> []);
+  let replay = Monitor.create () in
+  let doubled = ref false in
+  List.iter
+    (fun (now, ev) ->
+      Monitor.feed replay ~now ev;
+      match ev with
+      | Event.Frame_deliver _ when not !doubled ->
+          doubled := true;
+          Monitor.feed replay ~now ev
+      | _ -> ())
+    events;
+  check_bool "replayed stream had a delivery" true !doubled;
+  check_bool "double delivery caught" true
+    (List.exists
+       (fun v -> v.Monitor.rule = "retrans.duplicate_delivery")
+       (Monitor.violations replay))
+
+(* The same runs without a site: the layers emit nothing. *)
+let test_layer_events_need_site () =
+  Alcotest.(check (list string))
+    "no layer events" []
+    (kinds_seen (layer_runs ~site:false))
 
 (* --- causal span stage order --- *)
 
@@ -316,6 +402,10 @@ let () =
             test_monitor_corrupt_queue_pointer;
           Alcotest.test_case "clean on lossy mesh" `Quick
             test_monitor_clean_on_lossy_mesh;
+          Alcotest.test_case "layer events monitored" `Quick
+            test_layer_events_monitored;
+          Alcotest.test_case "layer events need a site" `Quick
+            test_layer_events_need_site;
         ] );
       ( "causal",
         [ Alcotest.test_case "span stage order" `Quick test_causal_span_stages ] );

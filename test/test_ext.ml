@@ -144,23 +144,27 @@ let test_channel_try_send_exhaustion () =
       | Error e -> Alcotest.fail (Channel.error_to_string e));
   finish machine
 
-let test_channel_send_timeout () =
+let test_channel_send_deadline () =
   let machine = mesh2 () in
   Machine.spawn_app machine ~node:0 (fun api ->
       let dest = Address.make ~node:1 ~endpoint:0 in
       let tx = ok_ch (Channel.create_tx api ~dest ~pool:1 ()) in
-      (match Channel.send_timeout tx (Bytes.of_string "a") with
+      let send ~within payload =
+        Channel.send_deadline tx ~deadline:(Api.now api + within)
+          (Bytes.of_string payload)
+      in
+      (match send ~within:(Vtime.ms 20) "a" with
       | Ok () -> ()
       | Error _ -> Alcotest.fail "pool available: first send must succeed");
-      (* The single buffer is in flight; three 10 ns polls cannot cover
-         the engine's transmit latency, so the bounded wait gives up
-         (where [send] would keep spinning). *)
-      (match Channel.send_timeout tx ~max_spins:3 (Bytes.of_string "b") with
+      (* The single buffer is in flight; a 30 ns bound cannot cover the
+         engine's transmit latency, so the bounded wait gives up (where
+         [send] would keep spinning). *)
+      (match send ~within:30 "b" with
       | Error `Timeout -> ()
       | Ok () -> Alcotest.fail "expected timeout on a 30 ns bound"
       | Error _ -> Alcotest.fail "expected timeout");
       (* A generous bound outlives the transmit and reclaims. *)
-      match Channel.send_timeout tx (Bytes.of_string "c") with
+      match send ~within:(Vtime.ms 20) "c" with
       | Ok () -> ()
       | Error _ -> Alcotest.fail "engine running: reclaim must succeed");
   finish machine
@@ -646,7 +650,7 @@ let () =
           Alcotest.test_case "pool recycles" `Quick test_channel_pool_recycles;
           Alcotest.test_case "try_send exhaustion" `Quick
             test_channel_try_send_exhaustion;
-          Alcotest.test_case "send_timeout" `Quick test_channel_send_timeout;
+          Alcotest.test_case "send_deadline" `Quick test_channel_send_deadline;
           Alcotest.test_case "capacity" `Quick test_channel_capacity_checked;
           Alcotest.test_case "recv_wait" `Quick test_channel_recv_wait;
           Alcotest.test_case "corrupt frame skipped" `Quick

@@ -1,6 +1,6 @@
 (* Fault injection and recovery: the Faulty fabric wrapper's drop /
-   duplicate / reorder / jitter injection, and the Retrans reliable
-   channel's exactly-once in-order delivery over every lossy fabric. *)
+   duplicate / reorder / jitter injection, and the retransmission
+   layer's exactly-once in-order delivery over every lossy fabric. *)
 
 module Sim = Flipc_sim.Engine
 module Vtime = Flipc_sim.Vtime
@@ -16,8 +16,11 @@ module Packet = Flipc_net.Packet
 module Checksum = Flipc.Checksum
 module Msg_buffer = Flipc.Msg_buffer
 module Msg_engine = Flipc.Msg_engine
-module Retrans = Flipc_flow.Retrans
 module Provision = Flipc_flow.Provision
+module Transport = Flipc_flow.Transport
+module Retrans_layer = Flipc_flow.Retrans_layer
+module RC = Retrans_layer.Make (Flipc_flow.Channel_transport)
+module Stackflow = Flipc_workload.Stackflow
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -131,133 +134,43 @@ let test_faulty_duplicate_and_jitter () =
 
 (* ------------------------------------------------------------------ *)
 (* Reliable channel: exactly-once, in-order delivery under faults, on
-   every fabric.                                                        *)
+   every fabric — Retrans_layer over Channel_transport, driven as one
+   Stackflow flow between the two nodes. Stackflow verifies every
+   payload's content and order ([corrupt_leaks]).                        *)
 
-type reliable_result = {
-  got : int list;  (* payload integers in delivery order *)
-  retransmits : int;
-  duplicates : int;
-  reordered : int;
-  transport_drops : int;
-  fault_dropped : int;
-  fault_burst_dropped : int;
-  fault_corrupted : int;
-  corrupt_frames : int;  (* engine-side checksum discards, all nodes *)
-  acks_sent : int;
-  reacks_suppressed : int;
-  srtt_ns : int;
-  rto_current_ns : int;
-  elapsed_ns : int;
-}
+let run_reliable ~kind ?cost ~fault ~messages ~rto_ns
+    ?(mode = Retrans_layer.Selective_repeat) ?(ack_every = 1) () =
+  Stackflow.run ?cost ~fault
+    ~retrans:
+      {
+        Retrans_layer.default_config with
+        Retrans_layer.rto_ns;
+        max_rto_ns = 8 * rto_ns;
+        mode;
+        ack_every;
+      }
+    ~pace_ns:0 ~budget:(Vtime.s 2) ~payload_bytes:4 ~flows:1 ~kind ~messages
+    ()
 
-let run_reliable ~kind ?cost ?(frame_checksum = false) ~fault ~messages ~rto_ns
-    ?(mode = Retrans.Selective_repeat) ?(ack_every = 1) () =
-  let config = Provision.config_for ~base:Config.default ~buffers:12 in
-  let config = { config with Config.frame_checksum } in
-  let machine =
-    match cost with
-    | Some cost -> Machine.create ~config ~cost ~fault kind ()
-    | None -> Machine.create ~config ~fault kind ()
-  in
-  let rcfg =
-    {
-      Retrans.default_config with
-      Retrans.rto_ns;
-      max_rto_ns = 8 * rto_ns;
-      mode;
-      ack_every;
-    }
-  in
-  let data_addr = Mailbox.create () and ack_addr = Mailbox.create () in
-  let got = ref [] in
-  let rstats = ref (0, 0, 0, 0, 0) in
-  let sstats = ref (0, 0, 0) in
-  (* With ack_every > 1 the receiver still owes withheld tail acks after
-     the last delivery, so it must keep servicing retransmitted frames
-     until the sender's flush has returned. *)
-  let sender_done = ref false in
-  Machine.spawn_app machine ~node:1 (fun api ->
-      let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
-      let ack_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-      Mailbox.put data_addr (Api.address api data_ep);
-      Api.connect api ack_ep (Mailbox.take ack_addr);
-      let r =
-        Retrans.create_receiver api ~sim:(Machine.sim machine) ~data_ep ~ack_ep
-          ~config:rcfg ()
-      in
-      let deadline = Vtime.ms 4_000 in
-      while
-        (Retrans.delivered r < messages || not !sender_done)
-        && Sim.now (Machine.sim machine) < deadline
-      do
-        match Retrans.recv r with
-        | Some payload -> got := decode_int payload :: !got
-        | None -> Mem_port.instr (Api.port api) 200
-      done;
-      rstats :=
-        ( Retrans.duplicates r,
-          Retrans.reordered r,
-          Retrans.transport_drops r,
-          Retrans.acks_sent r,
-          Retrans.reacks_suppressed r ));
-  Machine.spawn_app machine ~node:0 (fun api ->
-      let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-      let ack_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
-      Mailbox.put ack_addr (Api.address api ack_ep);
-      Api.connect api data_ep (Mailbox.take data_addr);
-      let s =
-        Retrans.create_sender api ~sim:(Machine.sim machine) ~data_ep ~ack_ep
-          ~config:rcfg ()
-      in
-      for i = 1 to messages do
-        match Retrans.send s (encode_int i) with
-        | Ok () -> ()
-        | Error `Timeout -> Alcotest.fail (Fmt.str "send %d timed out" i)
-      done;
-      (match Retrans.flush s ~timeout_ns:(Vtime.ms 2_000) with
-      | Ok () -> ()
-      | Error `Timeout -> Alcotest.fail "flush timed out");
-      sender_done := true;
-      sstats :=
-        (Retrans.retransmits s, Retrans.srtt_ns s, Retrans.rto_current_ns s));
-  Machine.run machine;
-  Machine.stop_engines machine;
-  Machine.run machine;
-  let duplicates, reordered, transport_drops, acks_sent, reacks_suppressed =
-    !rstats
-  in
-  let retransmits, srtt_ns, rto_current_ns = !sstats in
-  let fault_dropped, fault_burst_dropped, fault_corrupted =
-    match Machine.fault_stats machine with
-    | Some f -> (f.Faulty.dropped, f.Faulty.burst_dropped, f.Faulty.corrupted)
-    | None -> (0, 0, 0)
-  in
-  let corrupt_frames = ref 0 in
-  for i = 0 to Machine.node_count machine - 1 do
-    let st = Msg_engine.stats (Machine.msg_engine (Machine.node machine i)) in
-    corrupt_frames := !corrupt_frames + st.Msg_engine.corrupt_frames
-  done;
-  {
-    got = List.rev !got;
-    retransmits;
-    duplicates;
-    reordered;
-    transport_drops;
-    fault_dropped;
-    fault_burst_dropped;
-    fault_corrupted;
-    corrupt_frames = !corrupt_frames;
-    acks_sent;
-    reacks_suppressed;
-    srtt_ns;
-    rto_current_ns;
-    elapsed_ns = Sim.now (Machine.sim machine);
-  }
+let faults r = Option.get (Machine.fault_stats r.Stackflow.machine)
+let counters r = r.Stackflow.counters
+
+(* Checksum discards at every engine of the run's machine. *)
+let corrupt_frames r =
+  let m = r.Stackflow.machine in
+  List.fold_left
+    (fun acc i ->
+      acc
+      + (Msg_engine.stats (Machine.msg_engine (Machine.node m i)))
+          .Msg_engine.corrupt_frames)
+    0
+    (List.init (Machine.node_count m) Fun.id)
 
 let expect_exactly_once ~messages r =
-  check "delivered count" messages (List.length r.got);
-  check_bool "in order, exactly once" true
-    (r.got = List.init messages (fun i -> i + 1))
+  check "delivered count" messages r.Stackflow.delivered;
+  check "in order, exactly once, intact" 0 r.Stackflow.corrupt_leaks;
+  check "no stalled process" 0 r.Stackflow.watchdogs_expired;
+  check "monitor clean" 0 r.Stackflow.monitor_violations
 
 let test_reliable_mesh_loss () =
   let messages = 200 in
@@ -268,8 +181,9 @@ let test_reliable_mesh_loss () =
       ~messages ~rto_ns:200_000 ()
   in
   expect_exactly_once ~messages r;
-  check_bool "wire actually lossy" true (r.fault_dropped > 0);
-  check_bool "losses repaired by retransmission" true (r.retransmits > 0)
+  check_bool "wire actually lossy" true ((faults r).Faulty.dropped > 0);
+  check_bool "losses repaired by retransmission" true
+    ((counters r).Stackflow.retransmits > 0)
 
 let test_reliable_ethernet_loss () =
   let messages = 120 in
@@ -281,8 +195,9 @@ let test_reliable_ethernet_loss () =
       ~messages ~rto_ns:1_000_000 ()
   in
   expect_exactly_once ~messages r;
-  check_bool "wire actually lossy" true (r.fault_dropped > 0);
-  check_bool "losses repaired by retransmission" true (r.retransmits > 0)
+  check_bool "wire actually lossy" true ((faults r).Faulty.dropped > 0);
+  check_bool "losses repaired by retransmission" true
+    ((counters r).Stackflow.retransmits > 0)
 
 let test_reliable_scsi_combined () =
   let messages = 120 in
@@ -308,7 +223,9 @@ let test_reliable_mesh_dup_reorder () =
       ~messages ~rto_ns:200_000 ()
   in
   expect_exactly_once ~messages r;
-  check_bool "receiver saw anomalies" true (r.duplicates + r.reordered > 0)
+  let c = counters r in
+  check_bool "receiver saw anomalies" true
+    (c.Stackflow.duplicates + c.Stackflow.reordered > 0)
 
 let test_reliable_no_faults_no_retransmits () =
   let messages = 150 in
@@ -318,11 +235,13 @@ let test_reliable_no_faults_no_retransmits () =
       ~fault:Faulty.none ~messages ~rto_ns:200_000 ()
   in
   expect_exactly_once ~messages r;
-  check "no spurious retransmissions" 0 r.retransmits;
-  check "no duplicates" 0 r.duplicates
+  check "no spurious retransmissions" 0 (counters r).Stackflow.retransmits;
+  check "no duplicates" 0 (counters r).Stackflow.duplicates
 
-(* A dead receiver: the sender must report `Timeout, not spin forever. *)
-let test_sender_times_out_on_dead_peer () =
+(* A peer behind a wire that drops everything: once the oldest frame
+   has used its retry budget the layer reports [`Peer_dead] — distinct
+   from [`Timeout], and long before the caller's deadline. *)
+let test_dead_peer_reported () =
   let config = Provision.config_for ~base:Config.default ~buffers:12 in
   let machine =
     Machine.create ~config
@@ -332,45 +251,31 @@ let test_sender_times_out_on_dead_peer () =
   in
   let rcfg =
     {
-      Retrans.default_config with
-      Retrans.rto_ns = 50_000;
+      Retrans_layer.default_config with
+      Retrans_layer.rto_ns = 50_000;
       max_rto_ns = 100_000;
       max_retries = 4;
     }
   in
-  let data_addr = Mailbox.create () and ack_addr = Mailbox.create () in
   let outcome = ref None in
-  Machine.spawn_app machine ~node:1 (fun api ->
-      let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
-      let ack_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-      Mailbox.put data_addr (Api.address api data_ep);
-      Api.connect api ack_ep (Mailbox.take ack_addr);
-      (* Receiver exists but every packet (both directions) is dropped. *)
-      ignore
-        (Retrans.create_receiver api ~sim:(Machine.sim machine) ~data_ep
-           ~ack_ep ~config:rcfg ()));
-  Machine.spawn_app machine ~node:0 (fun api ->
-      let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-      let ack_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
-      Mailbox.put ack_addr (Api.address api ack_ep);
-      Api.connect api data_ep (Mailbox.take data_addr);
-      let s =
-        Retrans.create_sender api ~sim:(Machine.sim machine) ~data_ep ~ack_ep
-          ~config:rcfg ()
-      in
-      ignore (Retrans.send s (encode_int 1));
-      outcome := Some (Retrans.flush s ~timeout_ns:(Vtime.ms 50)));
-  Machine.run machine;
-  Machine.stop_engines machine;
-  Machine.run machine;
+  Pair.spawn machine
+    ~wrap:(fun base site -> RC.create base ~config:rcfg ~site ())
+    ~a:(fun c ->
+      Pair.terr (RC.try_send c (encode_int 1));
+      outcome := Some (RC.flush c ~deadline:(RC.now c + Vtime.ms 50)))
+    ~b:(fun _ -> ())
+    ();
+  Pair.drain machine;
   match !outcome with
-  | Some (Error `Timeout) -> ()
+  | Some (Error `Peer_dead) -> ()
   | Some (Ok ()) -> Alcotest.fail "flush succeeded with a 100% lossy wire"
+  | Some (Error e) ->
+      Alcotest.fail ("expected Peer_dead, got " ^ Transport.error_to_string e)
   | None -> Alcotest.fail "sender never completed"
 
 (* ------------------------------------------------------------------ *)
 (* Selective repeat vs go-back-N, adaptive RTO, and the accounting
-   bugfix regressions.                                                  *)
+   regressions.                                                         *)
 
 (* Reorder-heavy soak: for the same fault seed, selective repeat must
    repair the stream with strictly fewer wire retransmissions than
@@ -383,78 +288,59 @@ let test_sr_beats_gbn_reorder_soak () =
       ~fault:(Faulty.config ~reorder:0.3 ~reorder_hold_ns:60_000 ~seed:21 ())
       ~messages ~rto_ns:200_000 ~mode ()
   in
-  let sr = run Retrans.Selective_repeat in
-  let gbn = run Retrans.Go_back_n in
+  let sr = run Retrans_layer.Selective_repeat in
+  let gbn = run Retrans_layer.Go_back_n in
   expect_exactly_once ~messages sr;
   expect_exactly_once ~messages gbn;
-  check_bool "go-back-N pays for every hole" true (gbn.retransmits > 0);
+  let sr_n = (counters sr).Stackflow.retransmits
+  and gbn_n = (counters gbn).Stackflow.retransmits in
+  check_bool "go-back-N pays for every hole" true (gbn_n > 0);
   check_bool
-    (Fmt.str "selective repeat retransmits strictly fewer (%d < %d)"
-       sr.retransmits gbn.retransmits)
-    true
-    (sr.retransmits < gbn.retransmits);
-  check_bool "receiver held out-of-order frames" true (sr.reordered > 0)
+    (Fmt.str "selective repeat retransmits strictly fewer (%d < %d)" sr_n gbn_n)
+    true (sr_n < gbn_n);
+  check_bool "receiver held out-of-order frames" true
+    ((counters sr).Stackflow.ooo_buffered > 0)
 
-(* Clean-wire sender with a per-message or streaming load; returns the
-   self-measured mean send->ack round trip plus the estimator's view. *)
+(* Clean-wire sender, stop-and-wait ([per_message]: flush after every
+   send) or streaming; returns the self-measured mean send->ack round
+   trip plus the estimator's view. *)
 let rtt_run ~rto_ns ~messages ~per_message () =
   let config = Provision.config_for ~base:Config.default ~buffers:12 in
   let machine = Machine.create ~config (Machine.Mesh { cols = 2; rows = 1 }) () in
   let rcfg =
     {
-      Retrans.default_config with
-      Retrans.rto_ns;
+      Retrans_layer.default_config with
+      Retrans_layer.rto_ns;
       max_rto_ns = max 8_000_000 (8 * rto_ns);
     }
   in
-  let data_addr = Mailbox.create () and ack_addr = Mailbox.create () in
-  let total_rtt = ref 0 and out = ref (0, 0, 0) in
-  Machine.spawn_app machine ~node:1 (fun api ->
-      let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
-      let ack_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-      Mailbox.put data_addr (Api.address api data_ep);
-      Api.connect api ack_ep (Mailbox.take ack_addr);
-      let r =
-        Retrans.create_receiver api ~sim:(Machine.sim machine) ~data_ep ~ack_ep
-          ~config:rcfg ()
-      in
-      let deadline = Vtime.ms 4_000 in
-      while
-        Retrans.delivered r < messages
-        && Sim.now (Machine.sim machine) < deadline
-      do
-        match Retrans.recv r with
-        | Some _ -> ()
-        | None -> Mem_port.instr (Api.port api) 200
-      done);
-  Machine.spawn_app machine ~node:0 (fun api ->
-      let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-      let ack_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
-      Mailbox.put ack_addr (Api.address api ack_ep);
-      Api.connect api data_ep (Mailbox.take data_addr);
-      let s =
-        Retrans.create_sender api ~sim:(Machine.sim machine) ~data_ep ~ack_ep
-          ~config:rcfg ()
-      in
+  let total_rtt = ref 0 and out = ref (0, 0, 0) and tx_done = ref false in
+  let flush c ~within =
+    match RC.flush c ~deadline:(RC.now c + within) with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail ("flush: " ^ Transport.error_to_string e)
+  in
+  Pair.spawn machine
+    ~wrap:(fun base _ -> RC.create base ~config:rcfg ())
+    ~a:(fun c ->
       for i = 1 to messages do
-        let t0 = Sim.now (Machine.sim machine) in
-        (match Retrans.send s (encode_int i) with
-        | Ok () -> ()
-        | Error `Timeout -> Alcotest.fail (Fmt.str "send %d timed out" i));
+        let t0 = RC.now c in
+        Pair.terr (RC.send c ~deadline:(t0 + Vtime.ms 10) (encode_int i));
         if per_message then begin
-          (match Retrans.flush s ~timeout_ns:(Vtime.ms 10) with
-          | Ok () -> ()
-          | Error `Timeout -> Alcotest.fail "per-message flush timed out");
-          total_rtt := !total_rtt + (Sim.now (Machine.sim machine) - t0)
+          flush c ~within:(Vtime.ms 10);
+          total_rtt := !total_rtt + (RC.now c - t0)
         end
       done;
-      (match Retrans.flush s ~timeout_ns:(Vtime.ms 1_000) with
-      | Ok () -> ()
-      | Error `Timeout -> Alcotest.fail "flush timed out");
-      out := (Retrans.srtt_ns s, Retrans.rttvar_ns s, Retrans.rto_current_ns s));
-  Machine.run machine;
-  Machine.stop_engines machine;
-  Machine.run machine;
+      flush c ~within:(Vtime.ms 1_000);
+      tx_done := true;
+      out := (RC.srtt_ns c, RC.rttvar_ns c, RC.rto_current_ns c))
+    ~b:(fun c ->
+      while not !tx_done do
+        ignore (Pair.terr (RC.recv c) : Bytes.t option);
+        RC.idle c
+      done)
+    ();
+  Pair.drain machine;
   let srtt, rttvar, rto_cur = !out in
   ((if per_message then !total_rtt / messages else 0), srtt, rttvar, rto_cur)
 
@@ -482,122 +368,94 @@ let test_rto_tracks_measured_rtt () =
     true (rto_cur > floor);
   check_bool "rto covers srtt" true (rto_cur >= srtt2)
 
-(* Bugfix regression: a full send ring must not inflate the retransmit
-   counter. With the engines stopped nothing ever drains the ring, so
-   every attempt past its capacity is pure backpressure; the sender must
-   give up with `Timeout after a bounded number of refused rounds and
-   report zero (re)transmissions, because none reached the wire. *)
+(* A full transmit path must not inflate the retransmit counter. With
+   the engines stopped nothing ever drains the channel's pool, so every
+   transmission past it is pure backpressure: the send times out at its
+   deadline and zero retransmissions are counted, because none reached
+   the wire. *)
 let test_backpressure_not_phantom_retransmits () =
   let base = Provision.config_for ~base:Config.default ~buffers:24 in
   let config = { base with Config.queue_capacity = 5 } in
   let machine = Machine.create ~config (Machine.Mesh { cols = 2; rows = 1 }) () in
   let rcfg =
     {
-      Retrans.default_config with
-      Retrans.rto_ns = 50_000;
+      Retrans_layer.default_config with
+      Retrans_layer.rto_ns = 50_000;
       max_rto_ns = 400_000;
       max_retries = 5;
     }
   in
-  let data_addr = Mailbox.create () and ack_addr = Mailbox.create () in
   let result = ref None and stats = ref (0, 0) in
-  Machine.spawn_app machine ~node:1 (fun api ->
-      let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
-      let ack_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-      Mailbox.put data_addr (Api.address api data_ep);
-      Api.connect api ack_ep (Mailbox.take ack_addr);
-      ignore
-        (Retrans.create_receiver api ~sim:(Machine.sim machine) ~data_ep
-           ~ack_ep ~config:rcfg ()));
-  Machine.spawn_app machine ~node:0 (fun api ->
-      let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-      let ack_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
-      Mailbox.put ack_addr (Api.address api ack_ep);
-      Api.connect api data_ep (Mailbox.take data_addr);
-      let s =
-        Retrans.create_sender api ~sim:(Machine.sim machine) ~data_ep ~ack_ep
-          ~config:rcfg ()
-      in
+  Pair.spawn ~depth:4 machine
+    ~wrap:(fun base _ -> RC.create base ~config:rcfg ())
+    ~a:(fun c ->
       (* Wedge the transport: stop both engines, then give their final
-         in-flight iteration time to retire while the rings are still
-         empty. *)
+         in-flight iteration time to retire. *)
       Machine.stop_engines machine;
       Sim.delay (Vtime.us 10);
       let rec go i =
         if i > 40 then None
         else
-          match Retrans.send s (encode_int i) with
+          match RC.send c ~deadline:(RC.now c + Vtime.ms 2) (encode_int i) with
           | Ok () -> go (i + 1)
           | Error `Timeout -> Some i
+          | Error e -> Alcotest.fail (Transport.error_to_string e)
       in
       result := go 1;
-      stats := (Retrans.retransmits s, Retrans.backpressure s));
+      stats := (RC.retransmits c, RC.backpressure c))
+    ~b:(fun _ -> ())
+    ();
   Machine.run machine;
   let retransmits, backpressure = !stats in
   check_bool "send eventually reports timeout" true (!result <> None);
   check_bool "transport refused attempts" true (backpressure > 0);
   check "no phantom retransmits counted" 0 retransmits
 
-(* Bugfix regression: transient transmit-pool starvation is not a dead
-   peer. With a 15-slot ring, a 10-buffer pool and engines that only
-   visit every ~600ms (jitter floor 450ms), the first RTO round drains
-   the pool while the ring still holds every buffer; take_buffer's spin
-   budget (100k spins x 200 instr x 20ns = 400ms) then expires with the
-   peer entirely healthy. The old code surfaced that as the same
-   `Timeout as max_retries expiry, aborting the send. *)
+(* Transient transmit-pool starvation is not a dead peer. The engines
+   visit only every ~6 ms while the RTO starts at 100 us, so most
+   retransmission rounds find the channel's pool empty; a refused round
+   spends no retry, and the stream completes with real retransmissions
+   once the engines drain the pool. *)
 let test_pool_starvation_recovers () =
   let base = Provision.config_for ~base:Config.default ~buffers:32 in
   let config =
-    { base with Config.queue_capacity = 16; engine_poll_ns = 600_000_000 }
+    { base with Config.queue_capacity = 16; engine_poll_ns = 6_000_000 }
   in
   let machine = Machine.create ~config (Machine.Mesh { cols = 2; rows = 1 }) () in
   let rcfg =
-    { Retrans.default_config with Retrans.rto_ns = 100_000; max_rto_ns = 800_000 }
+    {
+      Retrans_layer.default_config with
+      Retrans_layer.rto_ns = 100_000;
+      max_rto_ns = 800_000;
+    }
   in
   let messages = 12 in
-  let data_addr = Mailbox.create () and ack_addr = Mailbox.create () in
-  let got = ref [] and stats = ref (0, 0) in
-  Machine.spawn_app machine ~node:1 (fun api ->
-      let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
-      let ack_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-      Mailbox.put data_addr (Api.address api data_ep);
-      Api.connect api ack_ep (Mailbox.take ack_addr);
-      let r =
-        Retrans.create_receiver api ~sim:(Machine.sim machine) ~data_ep ~ack_ep
-          ~config:rcfg ()
-      in
-      let deadline = Vtime.ms 4_000 in
-      while
-        Retrans.delivered r < messages
-        && Sim.now (Machine.sim machine) < deadline
-      do
-        match Retrans.recv r with
-        | Some payload -> got := decode_int payload :: !got
-        | None -> Mem_port.instr (Api.port api) 200
-      done);
-  Machine.spawn_app machine ~node:0 (fun api ->
-      let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-      let ack_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
-      Mailbox.put ack_addr (Api.address api ack_ep);
-      Api.connect api data_ep (Mailbox.take data_addr);
-      let s =
-        Retrans.create_sender api ~sim:(Machine.sim machine) ~data_ep ~ack_ep
-          ~config:rcfg ()
-      in
+  let got = ref [] and stats = ref (0, 0) and tx_done = ref false in
+  Pair.spawn ~pool:10 ~depth:12 machine
+    ~wrap:(fun base _ -> RC.create base ~config:rcfg ())
+    ~a:(fun c ->
       for i = 1 to messages do
-        match Retrans.send s (encode_int i) with
+        match RC.send c ~deadline:(RC.now c + Vtime.ms 500) (encode_int i) with
         | Ok () -> ()
-        | Error `Timeout ->
+        | Error e ->
             Alcotest.fail
-              (Fmt.str "transient starvation aborted send %d as peer-dead" i)
+              (Fmt.str "transient starvation aborted send %d: %s" i
+                 (Transport.error_to_string e))
       done;
-      (match Retrans.flush s ~timeout_ns:(Vtime.ms 3_000) with
+      (match RC.flush c ~deadline:(RC.now c + Vtime.ms 500) with
       | Ok () -> ()
-      | Error `Timeout -> Alcotest.fail "flush timed out");
-      stats := (Retrans.retransmits s, Retrans.backpressure s));
-  Machine.run machine;
-  Machine.stop_engines machine;
-  Machine.run machine;
+      | Error e -> Alcotest.fail ("flush: " ^ Transport.error_to_string e));
+      tx_done := true;
+      stats := (RC.retransmits c, RC.backpressure c))
+    ~b:(fun c ->
+      while not !tx_done do
+        (match Pair.terr (RC.recv c) with
+        | Some payload -> got := decode_int payload :: !got
+        | None -> ());
+        RC.idle c
+      done)
+    ();
+  Pair.drain machine;
   let retransmits, backpressure = !stats in
   check "all messages delivered" messages (List.length !got);
   check_bool "in order, exactly once" true
@@ -605,9 +463,8 @@ let test_pool_starvation_recovers () =
   check_bool "pool actually starved mid-run" true (backpressure > 0);
   check_bool "recovery used real retransmissions" true (retransmits > 0)
 
-(* Bugfix regression: a duplicate burst must not become an ack storm.
-   Every dup used to trigger an immediate re-ack; with ack_every=4 the
-   receiver may now re-ack at most once per 4 anomalies plus one
+(* A duplicate burst must not become an ack storm: with ack_every = 4
+   the receiver re-acks at most once per 4 anomalies plus one
    RTO-tick refresh, so total acks stay near delivered/4 + dups/4. *)
 let test_reack_storm_rate_limited () =
   let messages = 400 in
@@ -619,16 +476,20 @@ let test_reack_storm_rate_limited () =
       ~messages ~rto_ns ~ack_every:4 ()
   in
   expect_exactly_once ~messages r;
-  check_bool "wire duplicated heavily" true (r.duplicates > messages / 4);
-  check_bool "rate limiter suppressed re-acks" true (r.reacks_suppressed > 0);
+  let c = counters r in
+  check_bool "wire duplicated heavily" true
+    (c.Stackflow.duplicates > messages / 4);
+  check_bool "rate limiter suppressed re-acks" true
+    (c.Stackflow.reacks_suppressed > 0);
+  let elapsed_ns = Sim.now (Machine.sim r.Stackflow.machine) in
   let bound =
-    (messages / 4) + r.reordered + (r.duplicates / 4) + (r.elapsed_ns / rto_ns)
-    + 16
+    (messages / 4) + c.Stackflow.reordered + (c.Stackflow.duplicates / 4)
+    + (elapsed_ns / rto_ns) + 16
   in
   check_bool
-    (Fmt.str "ack volume capped (%d <= %d)" r.acks_sent bound)
+    (Fmt.str "ack volume capped (%d <= %d)" c.Stackflow.acks_sent bound)
     true
-    (r.acks_sent <= bound)
+    (c.Stackflow.acks_sent <= bound)
 
 (* ------------------------------------------------------------------ *)
 (* The rewritten injector: per-fault PRNG streams, duplicate aliasing,
@@ -844,7 +705,7 @@ let ge_stationary_prop =
 
 (* ------------------------------------------------------------------ *)
 (* Frame checksum: digest round-trip, damage detection, and the
-   engine-level discard feeding Retrans recovery end to end.            *)
+   engine-level discard feeding retransmission recovery end to end.     *)
 
 let trailer_image body =
   let digest = Checksum.fold30 (Checksum.of_bytes body) in
@@ -874,22 +735,22 @@ let test_checksum_of_words_consistent () =
 
 (* End to end: a corrupting wire with the frame checksum on. The engine
    must discard every damaged frame before demultiplexing (they look like
-   loss), Retrans must repair the stream, and not one damaged payload may
-   reach the application — expect_exactly_once checks content, so a leak
-   fails the order/content assertion. *)
+   loss), the retransmission layer must repair the stream, and not one
+   damaged payload may reach the application. *)
 let test_reliable_corrupt_checksum () =
   let messages = 150 in
   let r =
     run_reliable
       ~kind:(Machine.Mesh { cols = 2; rows = 1 })
-      ~frame_checksum:true
       ~fault:(Faulty.config ~corrupt:0.15 ~seed:17 ())
       ~messages ~rto_ns:200_000 ()
   in
   expect_exactly_once ~messages r;
-  check_bool "wire corrupted some frames" true (r.fault_corrupted > 0);
-  check_bool "engine discarded corrupt frames" true (r.corrupt_frames > 0);
-  check_bool "corruption repaired by retransmission" true (r.retransmits > 0)
+  check_bool "wire corrupted some frames" true
+    ((faults r).Faulty.corrupted > 0);
+  check_bool "engine discarded corrupt frames" true (corrupt_frames r > 0);
+  check_bool "corruption repaired by retransmission" true
+    ((counters r).Stackflow.retransmits > 0)
 
 (* Gilbert–Elliott burst loss end to end: whole windows can vanish in one
    bad period, and selective repeat must still deliver exactly once. *)
@@ -906,82 +767,32 @@ let test_reliable_burst_loss () =
       ~messages ~rto_ns:200_000 ()
   in
   expect_exactly_once ~messages r;
-  check_bool "bursts actually dropped packets" true (r.fault_burst_dropped > 0);
-  check_bool "burst losses repaired" true (r.retransmits > 0)
+  check_bool "bursts actually dropped packets" true
+    ((faults r).Faulty.burst_dropped > 0);
+  check_bool "burst losses repaired" true
+    ((counters r).Stackflow.retransmits > 0)
 
-(* Per-link faults: only the data direction of flow 0 is damaged; the
-   clean reverse (ack) path and the engine checksum keep recovery exact. *)
+(* Per-link faults: only the data direction (node 0 -> node 1) is
+   damaged; the clean reverse path and the engine checksum keep
+   recovery exact. *)
 let test_reliable_per_link_faults () =
   let messages = 150 in
-  let config = Provision.config_for ~base:Config.default ~buffers:12 in
-  let config = { config with Config.frame_checksum = true } in
   let bad =
     Faulty.config ~drop:0.15 ~corrupt:0.1
       ~burst:(Faulty.burst ~p_good_bad:0.05 ~p_bad_good:0.3 ~drop_bad:0.5 ())
       ~seed:31 ()
   in
   let links ~src ~dst = if src = 0 && dst = 1 then Some bad else None in
-  let machine =
-    Machine.create ~config ~fault_links:links
-      (Machine.Mesh { cols = 2; rows = 1 })
-      ()
+  let r =
+    Stackflow.run ~fault_links:links ~pace_ns:0 ~budget:(Vtime.s 2)
+      ~payload_bytes:4 ~flows:1
+      ~kind:(Machine.Mesh { cols = 2; rows = 1 })
+      ~messages ()
   in
-  let rcfg =
-    {
-      Retrans.default_config with
-      Retrans.rto_ns = 200_000;
-      max_rto_ns = 1_600_000;
-    }
-  in
-  let data_addr = Mailbox.create () and ack_addr = Mailbox.create () in
-  let got = ref [] in
-  let sender_done = ref false in
-  Machine.spawn_app machine ~node:1 (fun api ->
-      let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
-      let ack_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-      Mailbox.put data_addr (Api.address api data_ep);
-      Api.connect api ack_ep (Mailbox.take ack_addr);
-      let r =
-        Retrans.create_receiver api ~sim:(Machine.sim machine) ~data_ep ~ack_ep
-          ~config:rcfg ()
-      in
-      let deadline = Vtime.ms 4_000 in
-      while
-        (Retrans.delivered r < messages || not !sender_done)
-        && Sim.now (Machine.sim machine) < deadline
-      do
-        match Retrans.recv r with
-        | Some payload -> got := decode_int payload :: !got
-        | None -> Mem_port.instr (Api.port api) 200
-      done);
-  Machine.spawn_app machine ~node:0 (fun api ->
-      let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-      let ack_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
-      Mailbox.put ack_addr (Api.address api ack_ep);
-      Api.connect api data_ep (Mailbox.take data_addr);
-      let s =
-        Retrans.create_sender api ~sim:(Machine.sim machine) ~data_ep ~ack_ep
-          ~config:rcfg ()
-      in
-      for i = 1 to messages do
-        match Retrans.send s (encode_int i) with
-        | Ok () -> ()
-        | Error `Timeout -> Alcotest.fail (Fmt.str "send %d timed out" i)
-      done;
-      (match Retrans.flush s ~timeout_ns:(Vtime.ms 2_000) with
-      | Ok () -> ()
-      | Error `Timeout -> Alcotest.fail "flush timed out");
-      sender_done := true);
-  Machine.run machine;
-  Machine.stop_engines machine;
-  Machine.run machine;
-  check "delivered count" messages (List.length !got);
-  check_bool "in order, exactly once" true
-    (List.rev !got = List.init messages (fun i -> i + 1));
-  let faults = Option.get (Machine.fault_stats machine) in
+  expect_exactly_once ~messages r;
+  let f = faults r in
   check_bool "the bad link actually faulted" true
-    (faults.Faulty.dropped + faults.Faulty.burst_dropped
-     + faults.Faulty.corrupted > 0)
+    (f.Faulty.dropped + f.Faulty.burst_dropped + f.Faulty.corrupted > 0)
 
 (* Property: for any small fault mix and seed, the reliable channel is
    exactly-once and in-order on the mesh. *)
@@ -1004,7 +815,8 @@ let reliable_exactly_once_prop =
           ~kind:(Machine.Mesh { cols = 2; rows = 1 })
           ~fault ~messages ~rto_ns:200_000 ()
       in
-      r.got = List.init messages (fun i -> i + 1))
+      r.Stackflow.delivered = messages && r.Stackflow.corrupt_leaks = 0
+      && r.Stackflow.clean)
 
 let () =
   Alcotest.run "faults"
@@ -1053,8 +865,8 @@ let () =
             test_reliable_burst_loss;
           Alcotest.test_case "per-link faults" `Quick
             test_reliable_per_link_faults;
-          Alcotest.test_case "dead peer times out" `Quick
-            test_sender_times_out_on_dead_peer;
+          Alcotest.test_case "dead peer gives Peer_dead" `Quick
+            test_dead_peer_reported;
           QCheck_alcotest.to_alcotest reliable_exactly_once_prop;
         ] );
       ( "selective-repeat",

@@ -1,5 +1,5 @@
 (* Tests for flow control: static provisioning math and the credit-window
-   library. *)
+   layer over the channel transport. *)
 
 module Sim = Flipc_sim.Engine
 module Mailbox = Flipc_sim.Sync.Mailbox
@@ -8,8 +8,10 @@ module Config = Flipc.Config
 module Api = Flipc.Api
 module Machine = Flipc.Machine
 module Endpoint_kind = Flipc.Endpoint_kind
+module Vtime = Flipc_sim.Vtime
 module Provision = Flipc_flow.Provision
-module Window = Flipc_flow.Window
+module CT = Flipc_flow.Channel_transport
+module WL = Flipc_flow.Window_layer.Make (CT)
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -17,6 +19,11 @@ let check_bool = Alcotest.(check bool)
 let ok = function
   | Ok v -> v
   | Error e -> Alcotest.fail (Api.error_to_string e)
+
+let encode i =
+  let b = Bytes.create 4 in
+  Bytes.set_int32_le b 0 (Int32.of_int i);
+  b
 
 (* --- Provision --- *)
 
@@ -44,77 +51,59 @@ let test_config_for () =
   check "unchanged queue" Config.default.Config.queue_capacity
     c2.Config.queue_capacity
 
-(* --- Window --- *)
+(* --- Window_layer over Channel_transport --- *)
 
 (* Full producer/consumer scenario. Without flow control the producer's
    burst would overrun the consumer's posted buffers and drop; with the
-   window it must deliver everything. *)
-let run_windowed ~window ~messages ~consumer_delay_ns =
+   window it must deliver everything. [delays] paces the consumer after
+   each message (default: [consumer_delay_ns] every time). *)
+let run_windowed ?delays ~window ~messages ~consumer_delay_ns () =
   let config = Provision.config_for ~base:Config.default ~buffers:(window + 4) in
   let machine = Machine.create ~config (Machine.Mesh { cols = 2; rows = 1 }) () in
-  let data_addr = Mailbox.create () and credit_addr = Mailbox.create () in
   let delivered = ref 0 and drops = ref 0 in
   let sender_credits_exhausted = ref false in
-  Machine.spawn_app machine ~node:1 (fun api ->
-      let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
-      let credit_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-      Mailbox.put data_addr (Api.address api data_ep);
-      Api.connect api credit_ep (Mailbox.take credit_addr);
-      let receiver =
-        Window.create_receiver api ~data_ep ~credit_ep ~window ()
-      in
+  let remaining = ref (Option.value delays ~default:[]) in
+  let consume () =
+    match !remaining with
+    | d :: rest ->
+        remaining := rest;
+        d
+    | [] -> consumer_delay_ns
+  in
+  Pair.spawn machine
+    ~wrap:(fun base site -> (base, WL.create base ~window ~site ()))
+    ~a:(fun (_, c) ->
+      for i = 1 to messages do
+        if WL.credits_available c = 0 then sender_credits_exhausted := true;
+        Pair.terr (WL.send c ~deadline:(WL.now c + Vtime.ms 500) (encode i))
+      done)
+    ~b:(fun (base, c) ->
       while !delivered < messages do
-        (match Window.recv receiver with
-        | Some buf ->
+        match Pair.terr (WL.recv c) with
+        | Some p ->
             incr delivered;
+            check "in order" !delivered (Int32.to_int (Bytes.get_int32_le p 0));
             (* Slow consumer. *)
-            Mem_port.instr (Api.port api) (consumer_delay_ns / 20);
-            Window.consumed receiver buf
-        | None -> Mem_port.instr (Api.port api) 5)
+            Sim.delay (consume ())
+        | None -> WL.idle c
       done;
-      drops := Api.drops_read_and_reset api data_ep);
-  Machine.spawn_app machine ~node:0 (fun api ->
-      let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-      let credit_recv_ep =
-        ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ())
-      in
-      Mailbox.put credit_addr (Api.address api credit_recv_ep);
-      Api.connect api data_ep (Mailbox.take data_addr);
-      let sender = Window.create_sender api ~data_ep ~credit_recv_ep ~window () in
-      let pool = List.init (window + 2) (fun _ -> ok (Api.allocate_buffer api)) in
-      let free = Queue.create () in
-      List.iter (fun b -> Queue.push b free) pool;
-      for _ = 1 to messages do
-        let rec get () =
-          (match Api.reclaim api data_ep with
-          | Some b -> Queue.push b free
-          | None -> ());
-          match Queue.take_opt free with
-          | Some b -> b
-          | None ->
-              Mem_port.instr (Api.port api) 5;
-              get ()
-        in
-        let buf = get () in
-        if Window.credits_available sender = 0 then
-          sender_credits_exhausted := true;
-        Window.send sender buf
-      done);
-  Machine.run machine;
-  Machine.stop_engines machine;
-  Machine.run machine;
+      drops := CT.drops base)
+    ();
+  Pair.drain machine;
   (!delivered, !drops, !sender_credits_exhausted)
 
 let test_window_no_drops_under_overload () =
   let delivered, drops, exhausted =
-    run_windowed ~window:4 ~messages:60 ~consumer_delay_ns:60_000
+    run_windowed ~window:4 ~messages:60 ~consumer_delay_ns:60_000 ()
   in
   check "all delivered" 60 delivered;
   check "zero drops" 0 drops;
   check_bool "window actually throttled" true exhausted
 
 let test_window_fast_consumer () =
-  let delivered, drops, _ = run_windowed ~window:4 ~messages:40 ~consumer_delay_ns:0 in
+  let delivered, drops, _ =
+    run_windowed ~window:4 ~messages:40 ~consumer_delay_ns:0 ()
+  in
   check "all delivered" 40 delivered;
   check "zero drops" 0 drops
 
@@ -161,139 +150,23 @@ let test_unwindowed_overload_drops () =
   check_bool "burst overruns without flow control" true (!drops > 0);
   check "accounting adds up" total (!delivered + !drops)
 
+(* With the window exhausted and a receiver that never consumes,
+   [try_send] refuses with [`No_buffer] instead of sending. *)
 let test_try_send_respects_window () =
   let machine = Machine.create (Machine.Mesh { cols = 2; rows = 1 }) () in
-  let data_addr = Mailbox.create () and credit_addr = Mailbox.create () in
   let refused = ref false in
-  Machine.spawn_app machine ~node:1 (fun api ->
-      let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
-      let credit_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-      Mailbox.put data_addr (Api.address api data_ep);
-      Api.connect api credit_ep (Mailbox.take credit_addr);
-      (* A receiver that never consumes: credits never return. *)
-      ignore (Window.create_receiver api ~data_ep ~credit_ep ~window:2 ()));
-  Machine.spawn_app machine ~node:0 (fun api ->
-      let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-      let credit_recv_ep =
-        ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ())
-      in
-      Mailbox.put credit_addr (Api.address api credit_recv_ep);
-      Api.connect api data_ep (Mailbox.take data_addr);
-      let sender =
-        Window.create_sender api ~data_ep ~credit_recv_ep ~window:2 ()
-      in
-      check "initial credits" 2 (Window.credits_available sender);
-      let b1 = ok (Api.allocate_buffer api) in
-      let b2 = ok (Api.allocate_buffer api) in
-      let b3 = ok (Api.allocate_buffer api) in
-      check_bool "1st" true (Window.try_send sender b1);
-      check_bool "2nd" true (Window.try_send sender b2);
-      refused := not (Window.try_send sender b3);
-      check "sent" 2 (Window.messages_sent sender));
-  Machine.run machine;
-  Machine.stop_engines machine;
-  Machine.run machine;
+  Pair.spawn machine
+    ~wrap:(fun base site -> WL.create base ~window:2 ~site ())
+    ~a:(fun c ->
+      check "initial credits" 2 (WL.credits_available c);
+      check_bool "1st" true (WL.try_send c (encode 1) = Ok ());
+      check_bool "2nd" true (WL.try_send c (encode 2) = Ok ());
+      refused := WL.try_send c (encode 3) = Error `No_buffer;
+      check "sent" 2 (WL.messages_sent c))
+    ~b:(fun _ -> () (* never consumes: credits never return *))
+    ();
+  Pair.drain machine;
   check_bool "3rd refused" true !refused
-
-(* Regression: the sender must post enough credit receive buffers for
-   every grant that can simultaneously be in flight. An earlier version
-   posted a fixed 4 regardless of window and grant_every; with
-   window = 12 and grant_every = 1, a fast consumer puts 12 credit
-   messages on the wire while the sender stalls, and 8 of them were
-   discarded at the sender's credit endpoint (visible below as nonzero
-   [credit_drops]). *)
-let test_credit_buffers_cover_window () =
-  let window = 12 in
-  let messages = window + 1 in
-  let config = Provision.config_for ~base:Config.default ~buffers:(window + 4) in
-  let machine = Machine.create ~config (Machine.Mesh { cols = 2; rows = 1 }) () in
-  let data_addr = Mailbox.create () and credit_addr = Mailbox.create () in
-  let delivered = ref 0 in
-  let credit_drops = ref (-1) and credits_after = ref (-1) in
-  Machine.spawn_app machine ~node:1 (fun api ->
-      let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
-      let credit_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-      Mailbox.put data_addr (Api.address api data_ep);
-      Api.connect api credit_ep (Mailbox.take credit_addr);
-      let receiver =
-        Window.create_receiver api ~data_ep ~credit_ep ~window ~grant_every:1 ()
-      in
-      (* Consume as fast as messages land: every credit goes straight out. *)
-      while !delivered < messages do
-        match Window.recv receiver with
-        | Some buf ->
-            incr delivered;
-            Window.consumed receiver buf
-        | None -> Mem_port.instr (Api.port api) 5
-      done);
-  Machine.spawn_app machine ~node:0 (fun api ->
-      let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-      let credit_recv_ep =
-        ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ())
-      in
-      Mailbox.put credit_addr (Api.address api credit_recv_ep);
-      Api.connect api data_ep (Mailbox.take data_addr);
-      let sender =
-        Window.create_sender api ~data_ep ~credit_recv_ep ~window
-          ~grant_every:1 ()
-      in
-      (* Burn the whole window without once absorbing credits... *)
-      for _ = 1 to window do
-        Window.send sender (ok (Api.allocate_buffer api))
-      done;
-      (* ...stall while all [window] credit messages arrive... *)
-      Sim.delay (Flipc_sim.Vtime.ms 2);
-      (* ...then send once more, which first absorbs every credit. *)
-      Window.send sender (ok (Api.allocate_buffer api));
-      credit_drops := Window.credit_drops sender;
-      credits_after := Window.credits_available sender);
-  Machine.run machine;
-  Machine.stop_engines machine;
-  Machine.run machine;
-  check "all delivered" messages !delivered;
-  check "no credit message discarded" 0 !credit_drops;
-  (* Every credit recovered: the window is fully reopened (minus the one
-     message just sent and not yet consumed when the sender sampled). *)
-  check "window fully recovered" (window - 1) !credits_after
-
-(* send_timeout gives up when the peer never grants credit, where [send]
-   would spin forever. *)
-let test_window_send_timeout () =
-  let machine = Machine.create (Machine.Mesh { cols = 2; rows = 1 }) () in
-  let data_addr = Mailbox.create () and credit_addr = Mailbox.create () in
-  Machine.spawn_app machine ~node:1 (fun api ->
-      let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
-      let credit_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-      Mailbox.put data_addr (Api.address api data_ep);
-      Api.connect api credit_ep (Mailbox.take credit_addr);
-      (* A receiver that never consumes: credits never return. *)
-      ignore (Window.create_receiver api ~data_ep ~credit_ep ~window:2 ()));
-  Machine.spawn_app machine ~node:0 (fun api ->
-      let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-      let credit_recv_ep =
-        ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ())
-      in
-      Mailbox.put credit_addr (Api.address api credit_recv_ep);
-      Api.connect api data_ep (Mailbox.take data_addr);
-      let sender =
-        Window.create_sender api ~data_ep ~credit_recv_ep ~window:2 ()
-      in
-      let b1 = ok (Api.allocate_buffer api) in
-      let b2 = ok (Api.allocate_buffer api) in
-      let b3 = ok (Api.allocate_buffer api) in
-      (match Window.send_timeout sender b1 with
-      | Ok () -> ()
-      | Error `Timeout -> Alcotest.fail "credit available: no timeout");
-      (match Window.send_timeout sender b2 with
-      | Ok () -> ()
-      | Error `Timeout -> Alcotest.fail "credit available: no timeout");
-      (match Window.send_timeout sender ~max_spins:50 b3 with
-      | Error `Timeout -> ()
-      | Ok () -> Alcotest.fail "window exhausted: expected timeout");
-      check "only the window went out" 2 (Window.messages_sent sender));
-  Machine.run machine;
-  Machine.stop_engines machine;
-  Machine.run machine
 
 (* Property: whatever the consumer's pacing, the window never lets the
    transport discard. *)
@@ -302,62 +175,12 @@ let window_never_drops_prop =
     QCheck.(pair (int_range 1 6) (list_of_size Gen.(int_range 5 25) (int_bound 80)))
     (fun (window, delays) ->
       let messages = List.length delays in
-      let config =
-        Provision.config_for ~base:Config.default ~buffers:(window + 4)
+      let delivered, drops, _ =
+        run_windowed
+          ~delays:(List.map (fun d -> 20 * (1 + (d * 50))) delays)
+          ~window ~messages ~consumer_delay_ns:0 ()
       in
-      let machine =
-        Machine.create ~config (Machine.Mesh { cols = 2; rows = 1 }) ()
-      in
-      let data_addr = Mailbox.create () and credit_addr = Mailbox.create () in
-      let delivered = ref 0 and drops = ref 0 in
-      Machine.spawn_app machine ~node:1 (fun api ->
-          let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
-          let credit_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-          Mailbox.put data_addr (Api.address api data_ep);
-          Api.connect api credit_ep (Mailbox.take credit_addr);
-          let receiver = Window.create_receiver api ~data_ep ~credit_ep ~window () in
-          let remaining = ref delays in
-          while !delivered < messages do
-            match Window.recv receiver with
-            | Some buf ->
-                incr delivered;
-                (match !remaining with
-                | d :: rest ->
-                    remaining := rest;
-                    Mem_port.instr (Api.port api) (1 + (d * 50))
-                | [] -> ());
-                Window.consumed receiver buf
-            | None -> Mem_port.instr (Api.port api) 5
-          done;
-          drops := Api.drops_read_and_reset api data_ep);
-      Machine.spawn_app machine ~node:0 (fun api ->
-          let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-          let credit_recv_ep =
-            ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ())
-          in
-          Mailbox.put credit_addr (Api.address api credit_recv_ep);
-          Api.connect api data_ep (Mailbox.take data_addr);
-          let sender = Window.create_sender api ~data_ep ~credit_recv_ep ~window () in
-          let pool = List.init (window + 2) (fun _ -> ok (Api.allocate_buffer api)) in
-          let free = Queue.create () in
-          List.iter (fun b -> Queue.push b free) pool;
-          for _ = 1 to messages do
-            let rec get () =
-              (match Api.reclaim api data_ep with
-              | Some b -> Queue.push b free
-              | None -> ());
-              match Queue.take_opt free with
-              | Some b -> b
-              | None ->
-                  Mem_port.instr (Api.port api) 5;
-                  get ()
-            in
-            Window.send sender (get ())
-          done);
-      Machine.run machine;
-      Machine.stop_engines machine;
-      Machine.run machine;
-      !delivered = messages && !drops = 0)
+      delivered = messages && drops = 0)
 
 let () =
   Alcotest.run "flow"
@@ -378,9 +201,6 @@ let () =
             test_unwindowed_overload_drops;
           Alcotest.test_case "try_send window" `Quick
             test_try_send_respects_window;
-          Alcotest.test_case "credit buffers cover window" `Quick
-            test_credit_buffers_cover_window;
-          Alcotest.test_case "send_timeout" `Quick test_window_send_timeout;
           QCheck_alcotest.to_alcotest window_never_drops_prop;
         ] );
     ]

@@ -5,8 +5,8 @@
    engine transmits is either deposited or discarded at its destination —
    sum(sends) = sum(recvs) + sum(drops) across the whole machine.
 
-   The random flows run over {!Flipc_flow.Window} credit flow control
-   rather than the raw optimistic {!Flipc.Channel}: the raw transport
+   The random flows run over {!Flipc_flow.Window_layer} credit flow
+   control rather than the raw optimistic {!Flipc.Channel}: the raw transport
    gives no delivery guarantee, and under unlucky seeds (QCHECK_SEED=12
    derived seed 9888) a victim receiver sharing its CPU port with a busy
    sender drained its posted window, dropped a message, and the
@@ -21,7 +21,9 @@ module Mem_port = Flipc_memsim.Mem_port
 module Machine = Flipc.Machine
 module Api = Flipc.Api
 module Config = Flipc.Config
-module Window = Flipc_flow.Window
+module Vtime = Flipc_sim.Vtime
+module CT = Flipc_flow.Channel_transport
+module WL = Flipc_flow.Window_layer.Make (CT)
 module Nameservice = Flipc.Nameservice
 module Msg_engine = Flipc.Msg_engine
 module Endpoint_kind = Flipc.Endpoint_kind
@@ -31,9 +33,9 @@ module Prng = Flipc_sim.Prng
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let ok = function
+let terr = function
   | Ok v -> v
-  | Error e -> Alcotest.fail (Api.error_to_string e)
+  | Error e -> Alcotest.fail (Flipc_flow.Transport.error_to_string e)
 
 let machine_totals machine =
   let sends = ref 0 and recvs = ref 0 and drops = ref 0 in
@@ -83,66 +85,44 @@ let run_soak ~seed ~pairs =
     let payload = 1 + Prng.int prng 100 in
     let name = Printf.sprintf "flow-%d" flow in
     expected := !expected + count;
+    (* Each end registers its channel's receive address and connects
+       to the other's. *)
+    let connect api ~mine ~theirs =
+      let base = terr (CT.create api ~depth:(window + 2) ()) in
+      Nameservice.register ns (name ^ mine) (CT.address base);
+      terr (CT.connect base (Nameservice.lookup ns (name ^ theirs)));
+      WL.create base ~window ~site:(CT.site base) ()
+    in
     Machine.spawn_app ~name:(name ^ "-rx") machine ~node:dst (fun api ->
-        let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
-        let credit_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-        Nameservice.register ns (name ^ "-data") (Api.address api data_ep);
-        Api.connect api credit_ep (Nameservice.lookup ns (name ^ "-credit"));
-        let rx = Window.create_receiver api ~data_ep ~credit_ep ~window () in
+        let rx = connect api ~mine:"-rx" ~theirs:"-tx" in
         let wd = Monitor.Watchdog.create ~sim ~name:(name ^ "-rx") () in
         let got = ref 0 in
         while !got < count do
-          match Window.recv rx with
-          | Some buf ->
-              let hdr = Api.read_payload api buf 4 in
+          match terr (WL.recv rx) with
+          | Some p ->
               check ("frame length " ^ name) payload
-                (Int32.to_int (Bytes.get_int32_le hdr 0));
-              Window.consumed rx buf;
+                (Int32.to_int (Bytes.get_int32_le p 0));
               Monitor.Watchdog.progress wd;
               incr got;
               incr delivered
           | None ->
               if Monitor.Watchdog.expired wd then
                 stall machine wd ~mid:(Api.last_recv_msg_id api) ();
-              Mem_port.instr (Api.port api) 7
+              WL.idle rx
         done);
     Machine.spawn_app ~name:(name ^ "-tx") machine ~node:src (fun api ->
-        let data_ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Send ()) in
-        let credit_recv_ep =
-          ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ())
-        in
-        Nameservice.register ns (name ^ "-credit")
-          (Api.address api credit_recv_ep);
-        Api.connect api data_ep (Nameservice.lookup ns (name ^ "-data"));
-        let tx = Window.create_sender api ~data_ep ~credit_recv_ep ~window () in
+        let tx = connect api ~mine:"-tx" ~theirs:"-rx" in
         let wd = Monitor.Watchdog.create ~sim ~name:(name ^ "-tx") () in
         let image = frame (Bytes.make payload 'x') in
-        let free = Queue.create () in
-        for _ = 1 to window + 2 do
-          Queue.push (ok (Api.allocate_buffer api)) free
-        done;
         for _ = 1 to count do
-          let rec get () =
-            (match Api.reclaim api data_ep with
-            | Some b -> Queue.push b free
-            | None -> ());
-            match Queue.take_opt free with
-            | Some b -> b
-            | None ->
-                if Monitor.Watchdog.expired wd then
-                  stall machine wd ~mid:(Api.last_msg_id api) ();
-                Mem_port.instr (Api.port api) 5;
-                get ()
-          in
-          let buf = get () in
-          Api.write_payload api buf image;
           let rec push () =
-            match Window.send_timeout tx ~max_spins:5_000 buf with
+            match WL.send tx ~deadline:(WL.now tx + Vtime.ms 1) image with
             | Ok () -> Monitor.Watchdog.progress wd
             | Error `Timeout ->
                 if Monitor.Watchdog.expired wd then
                   stall machine wd ~mid:(Api.last_msg_id api) ();
                 push ()
+            | Error e -> Alcotest.fail (Flipc_flow.Transport.error_to_string e)
           in
           push ()
         done)
@@ -248,7 +228,7 @@ let run_stack_cell ?(stack = Stackflow.Retrans_over_channel) ~scenario
   let r =
     Stackflow.run ~stack ~fault
       ~kind:(Machine.Mesh { cols = 2; rows = 2 })
-      ~nodes:4 ~messages ()
+      ~messages ()
   in
   let label fmt =
     Printf.ksprintf
@@ -262,7 +242,7 @@ let run_stack_cell ?(stack = Stackflow.Retrans_over_channel) ~scenario
   check (label "monitor violations") 0 r.Stackflow.monitor_violations;
   check_bool (label "cell verdict clean") true r.Stackflow.clean;
   check_bool (label "faults actually exercised recovery") true
-    (r.Stackflow.retransmits > 0)
+    (r.Stackflow.counters.Stackflow.retransmits > 0)
 
 (* The clean-fabric control: the deepest tower (retrans over window over
    channel) completes without a single retransmission — flow control
@@ -273,12 +253,12 @@ let test_stack_tower_clean () =
   let r =
     Stackflow.run ~stack:Stackflow.Retrans_over_window
       ~kind:(Machine.Mesh { cols = 2; rows = 2 })
-      ~nodes:4 ~messages:20 ()
+      ~messages:20 ()
   in
   check "tower exactly-once" r.Stackflow.expected r.Stackflow.delivered;
   check_bool "tower clean" true r.Stackflow.clean;
   check "tower needs no retransmissions on a clean fabric" 0
-    r.Stackflow.retransmits
+    r.Stackflow.counters.Stackflow.retransmits
 
 let soak_prop =
   QCheck.Test.make ~name:"soak conservation over random seeds" ~count:5

@@ -42,6 +42,10 @@ module type STACK = sig
   (** Exactly-once delivery guaranteed even with [faulty:true]. *)
   val reliable : bool
 
+  (** The top layer's [flush], if it has one. *)
+  val flush :
+    (T.t -> deadline:Vtime.t -> (unit, Transport.error) result) option
+
   val run_pair :
     ?faulty:bool -> a:(T.t -> unit) -> b:(T.t -> unit) -> unit -> unit
 end
@@ -64,7 +68,7 @@ let loopback_run_pair ~wrap ?(faulty = false) ~a ~b () =
   Engine.run eng
 
 (* Machine-based pairs: two nodes of a mesh, channel transports at the
-   base, addresses exchanged through mailboxes. *)
+   base; [wrap] also gets the end's trace site. *)
 let machine_run_pair ~wrap ?(faulty = false) ~a ~b () =
   let config =
     {
@@ -82,20 +86,8 @@ let machine_run_pair ~wrap ?(faulty = false) ~a ~b () =
   let machine =
     Machine.create ~config ?fault (Machine.Mesh { cols = 2; rows = 1 }) ()
   in
-  let a_addr = Mailbox.create () and b_addr = Mailbox.create () in
-  Machine.spawn_app ~name:"pair-a" machine ~node:0 (fun api ->
-      let base = terr (CT.create api ~pool:4 ~depth:8 ()) in
-      Mailbox.put a_addr (CT.address base);
-      terr (CT.connect base (Mailbox.take b_addr));
-      a (wrap base));
-  Machine.spawn_app ~name:"pair-b" machine ~node:1 (fun api ->
-      let base = terr (CT.create api ~pool:4 ~depth:8 ()) in
-      Mailbox.put b_addr (CT.address base);
-      terr (CT.connect base (Mailbox.take a_addr));
-      b (wrap base));
-  Machine.run machine;
-  Machine.stop_engines machine;
-  Machine.run machine
+  Pair.spawn machine ~wrap ~a ~b ();
+  Pair.drain machine
 
 module Loopback_stack = struct
   let name = "loopback"
@@ -103,6 +95,7 @@ module Loopback_stack = struct
   module T = Loopback
 
   let reliable = false
+  let flush = None
   let run_pair ?faulty ~a ~b () = loopback_run_pair ~wrap:Fun.id ?faulty ~a ~b ()
 end
 
@@ -112,6 +105,7 @@ module Retrans_loopback_stack = struct
   module T = RLoop
 
   let reliable = true
+  let flush = Some RLoop.flush
 
   let run_pair ?faulty ~a ~b () =
     loopback_run_pair
@@ -125,7 +119,10 @@ module Channel_stack = struct
   module T = CT
 
   let reliable = false
-  let run_pair ?faulty ~a ~b () = machine_run_pair ~wrap:Fun.id ?faulty ~a ~b ()
+  let flush = None
+
+  let run_pair ?faulty ~a ~b () =
+    machine_run_pair ~wrap:(fun c _ -> c) ?faulty ~a ~b ()
 end
 
 module Window_channel_stack = struct
@@ -134,9 +131,12 @@ module Window_channel_stack = struct
   module T = WL
 
   let reliable = false
+  let flush = None
 
   let run_pair ?faulty ~a ~b () =
-    machine_run_pair ~wrap:(fun c -> WL.create c ~window:6 ()) ?faulty ~a ~b ()
+    machine_run_pair
+      ~wrap:(fun c site -> WL.create c ~window:6 ~site ())
+      ?faulty ~a ~b ()
 end
 
 module Retrans_channel_stack = struct
@@ -145,9 +145,12 @@ module Retrans_channel_stack = struct
   module T = RC
 
   let reliable = true
+  let flush = Some RC.flush
 
   let run_pair ?faulty ~a ~b () =
-    machine_run_pair ~wrap:(fun c -> RC.create c ~config:rcfg ()) ?faulty ~a ~b ()
+    machine_run_pair
+      ~wrap:(fun c site -> RC.create c ~config:rcfg ~site ())
+      ?faulty ~a ~b ()
 end
 
 module Retrans_window_stack = struct
@@ -162,10 +165,12 @@ module Retrans_window_stack = struct
      The stacking rule this encodes: on a lossy base, reliability goes
      {e below} flow control (see Window_retrans_stack). *)
   let reliable = false
+  let flush = Some RW.flush
 
   let run_pair ?faulty ~a ~b () =
     machine_run_pair
-      ~wrap:(fun c -> RW.create (WL.create c ~window:6 ()) ~config:rcfg ())
+      ~wrap:(fun c site ->
+        RW.create (WL.create c ~window:6 ~site ()) ~config:rcfg ())
       ?faulty ~a ~b ()
 end
 
@@ -180,10 +185,12 @@ module Window_retrans_stack = struct
      and credit frames ride the reliable channel, so no credit is ever
      lost and the composition stays exactly-once under any fault mix. *)
   let reliable = true
+  let flush = None
 
   let run_pair ?faulty ~a ~b () =
     machine_run_pair
-      ~wrap:(fun c -> WR.create (RC.create c ~config:rcfg ()) ~window:6 ())
+      ~wrap:(fun c site ->
+        WR.create (RC.create c ~config:rcfg ~site ()) ~window:6 ())
       ?faulty ~a ~b ()
 end
 
@@ -272,6 +279,89 @@ module Conformance (S : STACK) = struct
       ~b:(fun _ -> ())
       ()
 
+  (* Every bounded wait returns by its deadline. Against a peer that
+     never reads, [send] (once it blocks), [recv_deadline] and [flush]
+     report within one retry step (an idle plus the operation's own
+     poll) of a future deadline, and a deadline already reached returns
+     at once, without idling. The waits stay short of the retransmission
+     timeout, so no retransmission round lands inside a step. *)
+  let deadline_rule () =
+    S.run_pair
+      ~a:(fun c ->
+        let wait = 20_000 in
+        let timed f =
+          let t0 = T.now c in
+          f ();
+          T.now c - t0
+        in
+        let check_op what ~step op =
+          List.iter
+            (fun (label, after, within) ->
+              let deadline = T.now c + after in
+              match op deadline with
+              | `Done -> ()
+              | `Expired ->
+                  let late = T.now c - deadline in
+                  let step = step () in
+                  if not (within late step) then
+                    Alcotest.fail
+                      (Printf.sprintf
+                         "%s: %s with %s returned %d ns past it (retry step %d \
+                          ns)"
+                         S.name what label late step)
+              | `Error e -> Alcotest.fail (S.name ^ ": " ^ what ^ ": " ^ e))
+            [
+              ("a future deadline", wait, ( <= ));
+              ("a reached deadline", 0, ( < ));
+            ]
+        in
+        let expired = function
+          | Ok _ -> `Done
+          | Error (`Timeout | `Peer_dead) -> `Expired
+          | Error e -> `Error (Transport.error_to_string e)
+        in
+        let poll () = ignore (T.pump c : (unit, Transport.error) result) in
+        (* Fill the stack until a send blocks (a stack without a bound
+           accepts everything and never times out). *)
+        let rec fill i =
+          if i <= 64 then
+            match T.send c ~deadline:(T.now c + wait) (payload i) with
+            | Ok () -> fill (i + 1)
+            | r -> (
+                match expired r with
+                | `Error e -> Alcotest.fail (S.name ^ ": send: " ^ e)
+                | _ -> ())
+        in
+        fill 1;
+        check_op "send"
+          ~step:(fun () ->
+            timed (fun () ->
+                T.idle c;
+                poll ();
+                ignore
+                  (T.try_send c (payload 0) : (unit, Transport.error) result)))
+          (fun deadline -> expired (T.send c ~deadline (payload 0)));
+        check_op "recv_deadline"
+          ~step:(fun () ->
+            timed (fun () ->
+                T.idle c;
+                ignore (T.recv c : (Bytes.t option, Transport.error) result)))
+          (fun deadline -> expired (T.recv_deadline c ~deadline));
+        Option.iter
+          (fun flush ->
+            check_op "flush"
+              ~step:(fun () ->
+                timed (fun () ->
+                    T.idle c;
+                    poll ()))
+              (fun deadline ->
+                match flush c ~deadline with
+                | Ok () -> `Error "flushed to a peer that never reads"
+                | r -> expired r))
+          S.flush)
+      ~b:(fun _ -> ())
+      ()
+
   (* Full-capacity payload roundtrips intact; oversized raises. *)
   let capacity () =
     S.run_pair
@@ -346,6 +436,7 @@ module Conformance (S : STACK) = struct
       Alcotest.test_case (S.name ^ ": pingpong") `Quick pingpong;
       Alcotest.test_case (S.name ^ ": burst") `Quick burst;
       Alcotest.test_case (S.name ^ ": recv timeout") `Quick recv_timeout;
+      Alcotest.test_case (S.name ^ ": deadline rule") `Quick deadline_rule;
       Alcotest.test_case (S.name ^ ": capacity") `Quick capacity;
       Alcotest.test_case (S.name ^ ": closed") `Quick closed;
     ]
