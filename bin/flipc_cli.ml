@@ -50,14 +50,13 @@ let config_of locked packed checks =
     validity_checks = checks;
   }
 
-(* Every subcommand accepts --trace FILE: a process-wide capture window
-   turns on typed event tracing for every machine the command builds
-   (however deep inside a workload helper) and merges their timelines
-   into one Chrome trace_event document.
-
-   --capture FILE is the persistent sibling: a streaming flight-data
-   sink (JSONL, one typed event per line) attached to every machine the
-   command creates, replayable offline with [flipc doctor --replay]. *)
+(* Every subcommand accepts --trace FILE and --capture FILE. Both reach
+   every machine the command builds (however deep inside a workload
+   helper) through an [Obs.on_create] hook: --trace turns on each
+   machine's typed event tracer and merges their timelines into one
+   Chrome trace_event document; --capture streams each machine's events
+   into a persistent binary flight-data capture, replayable offline with
+   [flipc doctor --replay] and printable with [flipc trace --replay]. *)
 
 let trace_out =
   let doc =
@@ -68,12 +67,11 @@ let trace_out =
 
 let capture_out =
   let doc =
-    "Write a persistent flight-data capture of the run to $(docv): compact \
-     JSONL, one self-describing event per line with virtual timestamps \
-     preserved — or, when $(docv) ends in $(b,.ftrace), the versioned \
-     binary frame format (several times smaller, same fidelity). Either \
-     form is replayable offline with $(b,flipc doctor --replay), which \
-     auto-detects the format."
+    "Write a persistent flight-data capture of the run to $(docv): the \
+     versioned binary frame format, one frame per typed event with \
+     virtual timestamps preserved. Replay it offline with $(b,flipc \
+     doctor --replay); print it as JSON lines with $(b,flipc trace \
+     --replay)."
   in
   Arg.(value & opt (some string) None & info [ "capture" ] ~docv:"FILE" ~doc)
 
@@ -96,16 +94,27 @@ let with_trace (trace_file, capture_file) f =
         (path, s, unhook))
       capture_file
   in
-  if trace_file <> None then Flipc_obs.Obs.start_capture ();
+  let traced =
+    Option.map
+      (fun path ->
+        let machines = ref [] in
+        let unhook =
+          Flipc_obs.Obs.on_create (fun o ->
+              Flipc_obs.Tracer.enable (Flipc_obs.Obs.tracer o);
+              machines := o :: !machines)
+        in
+        (path, machines, unhook))
+      trace_file
+  in
   Fun.protect
     ~finally:(fun () ->
-      (match trace_file with
+      (match traced with
       | None -> ()
-      | Some path ->
+      | Some (path, machines, unhook) ->
+          unhook ();
           (* Merged multi-machine document: named process/thread rows per
              machine plus cross-machine causal flow arrows (Causal). *)
-          let json = Flipc_obs.Causal.captured_chrome_json () in
-          Flipc_obs.Obs.stop_capture ();
+          let json = Flipc_obs.Causal.chrome_json_of (List.rev !machines) in
           let oc = open_out path in
           Flipc_obs.Json.to_channel oc json;
           output_char oc '\n';
@@ -1221,9 +1230,8 @@ let doctor_cmd =
      online invariant monitors and progress watchdogs attached, then report \
      spans, retransmission branches and the invariant verdict. \
      $(b,--assert-clean) turns it into a CI health gate; $(b,--capture) \
-     writes a flight-data file (binary when it ends in $(b,.ftrace)) that \
-     $(b,--replay) re-diagnoses offline, and $(b,--against) diffs two \
-     captures."
+     writes a flight-data file that $(b,--replay) re-diagnoses offline, \
+     and $(b,--against) diffs two captures."
   in
   Cmd.v
     (Cmd.info "doctor" ~doc)
@@ -1702,19 +1710,26 @@ let stack_cmd =
 (* --- trace --- *)
 
 let trace_cmd =
+  let module Replay = Flipc_obs.Replay in
   let msgs =
     Arg.(value & opt int 3 & info [ "messages" ] ~docv:"N"
            ~doc:"Messages to trace.")
   in
-  let run trace msgs =
-    with_trace trace @@ fun () ->
+  let replay_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "replay" ] ~docv:"FILE"
+          ~doc:
+            "Skip the demo: print the capture in $(docv) (written by \
+             $(b,--capture)) as JSON lines — a header, one record per \
+             event, and a trailer.")
+  in
+  let print capture = List.iter print_endline (Replay.jsonl capture) in
+  let demo msgs =
     let machine = Machine.create (Machine.Mesh { cols = 2; rows = 1 }) () in
-    let tr = Flipc_sim.Trace.create ~enabled:true () in
-    for i = 0 to 1 do
-      Flipc.Msg_engine.set_trace
-        (Machine.msg_engine (Machine.node machine i))
-        tr
-    done;
+    let obs = Machine.obs machine in
+    Flipc_obs.Tracer.enable (Flipc_obs.Obs.tracer obs);
     let ns = Machine.names machine in
     let ok = Result.get_ok in
     Machine.spawn_app machine ~node:1 (fun api ->
@@ -1753,10 +1768,24 @@ let trace_cmd =
     Machine.run machine;
     Machine.stop_engines machine;
     Machine.run machine;
-    Fmt.pr "%a" Flipc_sim.Trace.dump tr
+    print (Replay.of_obs obs)
   in
-  let doc = "Dump the messaging engines' event timeline for a few messages." in
-  Cmd.v (Cmd.info "trace" ~doc) Term.(const run $ obs_out $ msgs)
+  let run trace replay msgs =
+    with_trace trace @@ fun () ->
+    match replay with
+    | None -> demo msgs
+    | Some path -> (
+        match Replay.load path with
+        | Ok capture -> print capture
+        | Error e ->
+            Fmt.epr "flipc trace: cannot read %s: %s@." path e;
+            exit 2)
+  in
+  let doc =
+    "Print a two-node demo's typed event timeline for a few messages as \
+     JSON lines, or print a capture file the same way ($(b,--replay))."
+  in
+  Cmd.v (Cmd.info "trace" ~doc) Term.(const run $ obs_out $ replay_arg $ msgs)
 
 (* --- metrics --- *)
 
@@ -1818,6 +1847,7 @@ let metrics_cmd =
         (fun us -> Series.attach ~interval:(Vtime.us us) obs)
         series_us
     in
+    let lat = Latency.attach obs in
     let r =
       Pingpong.run ~machine ~node_a:0 ~node_b:1 ~payload_bytes:payload
         ~exchanges ()
@@ -1825,7 +1855,6 @@ let metrics_cmd =
     Option.iter Series.sample series;
     Option.iter Alert.sample alert;
     let snap = Metrics.snapshot (Obs.metrics obs) in
-    let lat = Obs.latency obs in
     if prom then print_string (Series.prom_of_snapshot snap)
     else if json_out then
       print_endline

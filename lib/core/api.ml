@@ -83,8 +83,6 @@ let emit t ev =
   | Some o when Flipc_obs.Obs.tracing o -> Flipc_obs.Obs.event o (ev ())
   | _ -> ()
 
-let lat t f = match obs t with Some o -> f o (Flipc_obs.Obs.latency o) | None -> ()
-
 (* Mutual exclusion among application threads per the configured interface
    variant. The lock word is a test-and-set spinlock with no cache
    residency; spinning backs off by a few instruction times so a simulated
@@ -289,19 +287,13 @@ let send_with_dest t ep buf dest =
     (match r with
     | Ok () ->
         t.last_mid <- mid;
-        (* Send-enqueue stamp: start of the per-message latency pipeline. *)
-        let dst_node = Address.node dest in
-        let dst_ep = Address.endpoint dest in
-        lat t (fun o l ->
-            Flipc_obs.Latency.send_enqueued l ~now:(Flipc_obs.Obs.now o)
-              ~dst_node ~dst_ep);
         emit t (fun () ->
             Flipc_obs.Event.Send_enqueued
               {
                 node = node t;
                 ep = Comm_buffer.ep_offset t.comm + ep.index;
-                dst_node;
-                dst_ep;
+                dst_node = Address.node dest;
+                dst_ep = Address.endpoint dest;
                 mid;
               })
     | Error _ -> ());
@@ -344,14 +336,13 @@ let receive t ep =
     | None -> None
     | Some buf as r ->
         t.last_recv_mid <- Msg_buffer.msg_id t.port t.layout ~buf;
-        let node = node t in
-        let global_ep = Comm_buffer.ep_offset t.comm + ep.index in
-        lat t (fun o l ->
-            Flipc_obs.Latency.recv_dequeued l ~now:(Flipc_obs.Obs.now o) ~node
-              ~ep:global_ep);
         emit t (fun () ->
             Flipc_obs.Event.Recv_dequeued
-              { node; ep = global_ep; mid = t.last_recv_mid });
+              {
+                node = node t;
+                ep = Comm_buffer.ep_offset t.comm + ep.index;
+                mid = t.last_recv_mid;
+              });
         r
 
 let reclaim t ep =
@@ -414,9 +405,6 @@ let send_burst t ep bufs =
               let src_node = node t in
               let src_ep = Comm_buffer.ep_offset t.comm + ep.index in
               for i = 0 to n - 1 do
-                lat t (fun o l ->
-                    Flipc_obs.Latency.send_enqueued l
-                      ~now:(Flipc_obs.Obs.now o) ~dst_node ~dst_ep);
                 emit t (fun () ->
                     Flipc_obs.Event.Send_enqueued
                       {
@@ -458,9 +446,6 @@ let receive_burst t ep ~out =
       for i = 0 to n - 1 do
         let mid = Msg_buffer.msg_id t.port t.layout ~buf:out.(i) in
         t.last_recv_mid <- mid;
-        lat t (fun o l ->
-            Flipc_obs.Latency.recv_dequeued l ~now:(Flipc_obs.Obs.now o) ~node
-              ~ep:global_ep);
         emit t (fun () ->
             Flipc_obs.Event.Recv_dequeued { node; ep = global_ep; mid })
       done

@@ -82,8 +82,8 @@ val fresh_msg_id : unit -> int
 val payload_bytes : t -> int
 
 (** The engine's observability bundle, if {!Msg_engine.set_obs} attached
-    one; sends and receives through this interface stamp the per-message
-    latency pipeline on it. *)
+    one; sends and receives through this interface emit their lifecycle
+    events on it. *)
 val obs : t -> Flipc_obs.Obs.t option
 
 (** {1 Endpoints} *)
@@ -190,7 +190,7 @@ val receive_wait : t -> endpoint -> Flipc_rt.Sched.thread -> buffer
     round-trip for the whole run, and the send side rings the doorbell
     and pokes the owning engine shard exactly once per burst. Semantics
     are identical to a loop of the singleton operations — same FIFO
-    order, same per-message latency stamps and trace events — only the
+    order, same per-message trace events — only the
     bookkeeping traffic is coalesced. Sized by {!Config.t.app_send_burst}
     / [app_recv_burst] in the stock workloads; burst size 1 degenerates
     to the singleton cost plus one instruction, which is the ablation

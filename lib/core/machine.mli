@@ -66,10 +66,11 @@ val create :
 
 val sim : t -> Flipc_sim.Engine.t
 
-(** The machine's observability bundle: every engine stamps per-message
-    latency stages on it, its registry carries the [node<i>.engine.*]
-    (and, with [?fault], [fabric.faults.*]) probes, and enabling its
-    tracer turns on typed event tracing machine-wide. *)
+(** The machine's observability bundle: its registry carries the
+    [node<i>.engine.*] (and, with [?fault], [fabric.faults.*]) probes,
+    and enabling its tracer — or attaching a watcher such as
+    {!Flipc_obs.Latency.attach} — turns on typed event tracing
+    machine-wide. *)
 val obs : t -> Flipc_obs.Obs.t
 
 (** The machine-wide endpoint name service (the external service FLIPC

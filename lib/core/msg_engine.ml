@@ -4,7 +4,6 @@ module Mem_port = Flipc_memsim.Mem_port
 module Dma = Flipc_net.Dma
 module Obs = Flipc_obs.Obs
 module Event = Flipc_obs.Event
-module Latency = Flipc_obs.Latency
 
 type transport = {
   tname : string;
@@ -79,7 +78,6 @@ type t = {
       (* last observed G_doorbell_seq per communication buffer; the
          per-endpoint shadow scan runs only when one changed *)
   mutable wakeup_hook : (ep:int -> unit) option;
-  mutable trace : Flipc_sim.Trace.t option;
   mutable obs : Obs.t option;
 }
 
@@ -125,7 +123,6 @@ let create ?(shard = (0, 1)) ~sim ~node ~comms ~port ~dma ~transport () =
        bit-identical with pre-sharding builds; higher shards decorrelate
        their poll jitter. *)
     prng = Prng.create ~seed:(0x5EED + node + (shard_index * 0x1003F));
-    trace = None;
     obs = None;
     stats =
       {
@@ -161,7 +158,6 @@ let shard t = t.shard
 let shard_count t = t.shard_count
 let stats t = t.stats
 let set_wakeup_hook t f = t.wakeup_hook <- Some f
-let set_trace t trace = t.trace <- Some trace
 
 (* Which shard of a [count]-way partition owns node-global endpoint [g].
    The machine's delivery router and the application library's poke
@@ -212,24 +208,6 @@ let emit t ev =
   | Some o when Obs.tracing o -> Obs.event o (ev ())
   | _ -> ()
 
-(* Latency stamping is always on when an observability bundle is
-   attached: it costs host time only, never virtual time. *)
-let lat t f = match t.obs with Some o -> f (Obs.latency o) | None -> ()
-
-(* With no trace attached, [Format.ikfprintf] consumes the arguments
-   without interpreting the format string: the disabled path formats
-   nothing (unlike [Fmt.kstr], which builds and then discards the
-   string). *)
-let trace t fmt =
-  match t.trace with
-  | Some tr ->
-      Flipc_sim.Trace.recordf tr ~now:(Sim.now t.sim)
-        ~tag:
-          (if t.shard_count = 1 then Printf.sprintf "engine-%d" t.node
-           else Printf.sprintf "engine-%d.%d" t.node t.shard)
-        fmt
-  | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-
 (* [poked] stays set across an iteration: the engine only parks after a
    full iteration during which nobody poked it, closing the race where a
    poke lands mid-iteration (a no-op on a running engine) just before
@@ -243,18 +221,17 @@ let poke t =
   | None -> ()
 
 let deliver t image =
-  (* Wire-arrival stamp: this is the instant the image reaches the
-     destination engine, before the engine loop gets around to handling
-     it. Handling order is queue (FIFO) order, which keeps the latency
-     pairing exact. *)
+  (* Wire arrival: the instant the image reaches the destination
+     engine, before the engine loop gets around to handling it. *)
   let dest = Msg_buffer.dest_of_image image in
-  if not (Address.is_null dest) then begin
-    let ep = Address.endpoint dest in
-    lat t (fun l -> Latency.wire_rx l ~now:(Sim.now t.sim) ~node:t.node ~ep);
+  if not (Address.is_null dest) then
     emit t (fun () ->
         Event.Wire_rx
-          { node = t.node; ep; mid = Msg_buffer.msg_id_of_image image })
-  end;
+          {
+            node = t.node;
+            ep = Address.endpoint dest;
+            mid = Msg_buffer.msg_id_of_image image;
+          });
   Queue.push image t.incoming;
   poke t
 
@@ -307,8 +284,6 @@ let handle_verified t image =
   let dest = Msg_buffer.dest_of_image image in
   charge_validity t;
   let discard reason global_ep =
-    if global_ep >= 0 then
-      lat t (fun l -> Latency.discarded l ~node:t.node ~ep:global_ep);
     emit t (fun () ->
         Event.Drop
           {
@@ -368,7 +343,6 @@ let handle_verified t image =
             | None ->
                 Drop_counter.engine_increment t.port layout ~ep;
                 t.stats.drops <- t.stats.drops + 1;
-                trace t "discard: no posted buffer on ep %d" global_ep;
                 discard Event.No_posted_buffer global_ep;
                 bump_global t layout Layout.Engine_drops
             | Some (buf_addr, cursor) -> (
@@ -394,9 +368,6 @@ let handle_verified t image =
                     Msg_buffer.set_state t.port layout ~buf Msg_buffer.Complete;
                     Buffer_queue.engine_advance t.port layout ~ep ~cursor;
                     t.stats.recvs <- t.stats.recvs + 1;
-                    trace t "deposit: ep %d buffer %d" global_ep buf;
-                    lat t (fun l ->
-                        Latency.deposited l ~node:t.node ~ep:global_ep);
                     emit t (fun () ->
                         Event.Deposit
                           {
@@ -442,7 +413,6 @@ let handle_incoming t ~first image =
           Msg_buffer.image_checksum_ok image)
   then begin
     t.stats.corrupt_frames <- t.stats.corrupt_frames + 1;
-    trace t "discard: frame checksum mismatch";
     (* mid 0, not the image's: a checksum-failed frame's id bits are as
        suspect as the rest, and a corrupted id would attach this discard
        to an unrelated span. The original send's span keeps its
@@ -560,11 +530,7 @@ let process_sends t layout ~global_ep ~ep ~burst =
               Buffer_queue.engine_advance t.port layout ~ep ~cursor
           | Some buf ->
               let dest = Msg_buffer.dest t.port layout ~buf in
-              let dst_node = Address.node dest in
-              let dst_ep = Address.endpoint dest in
               let refused reason =
-                if not (Address.is_null dest) then
-                  lat t (fun l -> Latency.send_refused l ~dst_node ~dst_ep);
                 emit t (fun () ->
                     Event.Drop
                       {
@@ -585,17 +551,13 @@ let process_sends t layout ~global_ep ~ep ~burst =
                  match t.transport.transmit ~dst:dest image with
                  | Ok () ->
                      t.stats.sends <- t.stats.sends + 1;
-                     trace t "transmit: ep %d -> %a" ep Address.pp dest;
-                     lat t (fun l ->
-                         Latency.engine_tx l ~now:(Sim.now t.sim) ~dst_node
-                           ~dst_ep);
                      emit t (fun () ->
                          Event.Engine_tx
                            {
                              node = t.node;
                              ep = global_ep;
-                             dst_node;
-                             dst_ep;
+                             dst_node = Address.node dest;
+                             dst_ep = Address.endpoint dest;
                              mid = Msg_buffer.msg_id_of_image image;
                            });
                      if tx_batch = 1 then
@@ -617,11 +579,9 @@ let process_sends t layout ~global_ep ~ep ~burst =
 
 let park t =
   t.stats.parks <- t.stats.parks + 1;
-  trace t "park after %d idle iterations" t.idle;
   emit t (fun () -> Event.Engine_park { node = t.node; idle = t.idle });
   Sim.suspend (fun resume -> t.parked <- Some resume);
   t.parked <- None;
-  trace t "wake";
   emit t (fun () -> Event.Engine_wake { node = t.node });
   t.idle <- 0
 

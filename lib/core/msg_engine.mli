@@ -129,14 +129,9 @@ val running : t -> bool
     [Sem_flag] is set. *)
 val set_wakeup_hook : t -> (ep:int -> unit) -> unit
 
-(** [set_trace t trace] attaches an event trace: the engine records sends,
-    deposits, discards, rejects, parks and wakes with virtual timestamps.
-    Tracing is off (and free) by default. *)
-val set_trace : t -> Flipc_sim.Trace.t -> unit
-
-(** [set_obs t obs] attaches an observability bundle: the engine stamps
-    per-message latency stages, emits typed trace events (when the
-    bundle's tracer is enabled) and exports its {!stats} fields as
+(** [set_obs t obs] attaches an observability bundle: the engine emits
+    typed trace events (while the bundle is {!Flipc_obs.Obs.tracing})
+    and exports its {!stats} fields as
     pull-probes on the bundle's registry — [node<i>.engine.*] for a
     single-shard engine (the historical names), [node<i>.engine.s<kk>.*]
     (zero-padded shard id) when sharded, so name-sorted metric snapshots

@@ -243,5 +243,3 @@ let chrome_json_of obs_list =
       ("traceEvents", Json.List (instants @ flows));
       ("displayTimeUnit", Json.String "ns");
     ]
-
-let captured_chrome_json () = chrome_json_of (Obs.captured ())

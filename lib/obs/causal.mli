@@ -52,10 +52,7 @@ val pp_span : Format.formatter -> span -> unit
     [(node, ep, seq, mids)] with one mid per wire traversal. *)
 val retransmissions : span list -> (int * int * int * int list) list
 
-(** Merged Chrome trace document: per-machine instant rows (named after
-    each {!Obs.label}) plus cross-machine flow arrows for every
-    multi-step span. *)
+(** Merged Chrome trace document — the one Chrome exporter: per-machine
+    instant rows (named after each {!Obs.label}) plus cross-machine flow
+    arrows for every multi-step span. *)
 val chrome_json_of : Obs.t list -> Json.t
-
-(** {!chrome_json_of} over {!Obs.captured}. *)
-val captured_chrome_json : unit -> Json.t

@@ -432,14 +432,3 @@ let read_file path =
       with
       | d -> Ok d
       | exception Bad msg -> Error msg)
-
-let is_binary path =
-  match open_in_bin path with
-  | exception Sys_error _ -> false
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match really_input_string ic (String.length magic) with
-          | s -> s = magic
-          | exception End_of_file -> false)

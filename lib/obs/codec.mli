@@ -1,22 +1,21 @@
-(** Versioned binary trace codec: the compact on-disk twin of the JSONL
-    capture format.
+(** Versioned binary trace codec: the one on-disk capture format.
 
     A binary capture is the magic string {!magic} followed by a version
     byte and then a stream of length-prefixed frames. Each frame body
-    starts with a one-byte opcode: metadata (the header's [meta]
-    object), one event record, or the trailer (machine labels plus the
+    starts with a one-byte opcode: metadata (a JSON object of run
+    fields), one event record, or the trailer (machine labels plus the
     optional run summary). Event frames carry the pid and a
     zigzag-varint timestamp {e delta} against the previous event frame,
     then a per-constructor tag byte and the variant's fields as zigzag
-    varints (strings length-prefixed) in declaration order — ~8x
-    smaller than the JSONL line for a typical lifecycle event.
+    varints (strings length-prefixed) in declaration order — ~7x
+    smaller than the line {!Replay.jsonl} renders for it.
 
-    {!Sink} writes this format when the capture path ends in [.ftrace];
-    {!Replay.load} auto-detects it by sniffing {!magic}, so every
-    consumer of a capture (doctor, diff, tests) is format-agnostic.
-    Decoding is strict: a truncated frame, an unknown opcode or event
-    tag, or a varint running past the frame all produce [Error] naming
-    the offending byte offset. *)
+    {!Sink} writes this format and {!Replay.load} reads it, so every
+    consumer of a capture (doctor, diff, tests) goes through this
+    module. Decoding is strict: a missing {!magic}, a version mismatch,
+    a truncated frame, an unknown opcode or event tag, or a varint
+    running past the frame all produce [Error] naming the offending
+    byte offset. *)
 
 (** First bytes of every binary capture. *)
 val magic : string
@@ -52,7 +51,7 @@ val to_channel : out_channel -> encoder
 (** The channel the encoder writes to (for the owner to close). *)
 val channel : encoder -> out_channel
 
-(** Write the run-metadata frame (the JSONL header's [meta] object). *)
+(** Write the run-metadata frame (free-form JSON fields). *)
 val write_meta : encoder -> (string * Json.t) list -> unit
 
 (** Append one event frame (timestamps are delta-encoded internally). *)
@@ -73,6 +72,3 @@ type decoded = {
 
 (** [read_file path] decodes a whole binary capture. *)
 val read_file : string -> (decoded, string) result
-
-(** [is_binary path] sniffs {!magic} (false for short/unreadable files). *)
-val is_binary : string -> bool

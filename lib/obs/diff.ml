@@ -1,4 +1,4 @@
-module Vtime = Flipc_sim.Vtime
+module Summary = Flipc_stats.Summary
 
 (* ------------------------------------------------------------------ *)
 (* One side's derived report.                                          *)
@@ -14,7 +14,7 @@ type side = {
   s_spans : int;
   s_violations : ((string * int) * int) list; (* (rule, node) -> count *)
   s_counters : (string * int) list; (* event kind -> count *)
-  s_stages : (string * float array) list; (* stage -> durations ns *)
+  s_latency : Latency.t;
   s_sites : ((int * int) * site_stat) list;
 }
 
@@ -24,25 +24,6 @@ let bump assoc key =
   match List.assoc_opt key !assoc with
   | Some n -> assoc := (key, n + 1) :: List.remove_assoc key !assoc
   | None -> assoc := (key, 1) :: !assoc
-
-(* The canonical lifecycle milestones a latency stage spans. *)
-let milestones = [ "send_enqueued"; "engine_tx"; "wire_rx"; "deposit"; "recv_dequeued" ]
-
-let stage_names =
-  [
-    ("send", ("send_enqueued", "engine_tx"));
-    ("wire", ("engine_tx", "wire_rx"));
-    ("queue", ("wire_rx", "deposit"));
-    ("recv", ("deposit", "recv_dequeued"));
-    ("total", ("send_enqueued", "recv_dequeued"));
-  ]
-
-let span_milestones (span : Causal.span) =
-  List.filter_map
-    (fun name ->
-      List.find_opt (fun (s : Causal.step) -> Event.kind s.ev = name) span.steps
-      |> Option.map (fun (s : Causal.step) -> (name, Vtime.to_ns s.ts)))
-    milestones
 
 let derive (capture : Replay.t) =
   let records = Replay.records capture in
@@ -56,28 +37,14 @@ let derive (capture : Replay.t) =
   (* Counters: event-kind population. *)
   let counters = ref [] in
   List.iter (fun r -> bump counters (Event.kind r.Replay.r_ev)) records;
-  (* Spans -> stage durations and per-site stream accounting. *)
+  (* Stage latencies: the same fold a live run attaches. *)
+  let latency = Latency.create () in
+  Latency.feed latency records;
+  (* Spans -> per-site stream accounting. *)
   let spans = Replay.spans capture in
-  let stages = Hashtbl.create 8 in
   let sites = Hashtbl.create 8 in
   List.iter
     (fun (span : Causal.span) ->
-      let ms = span_milestones span in
-      List.iter
-        (fun (stage, (from_k, to_k)) ->
-          match (List.assoc_opt from_k ms, List.assoc_opt to_k ms) with
-          | Some t0, Some t1 when t1 >= t0 ->
-              let l =
-                match Hashtbl.find_opt stages stage with
-                | Some l -> l
-                | None ->
-                    let l = ref [] in
-                    Hashtbl.add stages stage l;
-                    l
-              in
-              l := float_of_int (t1 - t0) :: !l
-          | _ -> ())
-        stage_names;
       (* Site: source node of the first step, destination node of the
          delivery (or the wire arrival) if one happened. *)
       let src =
@@ -102,12 +69,7 @@ let derive (capture : Replay.t) =
             match s.ev with Event.Recv_dequeued _ -> true | _ -> false)
           span.steps
       in
-      let total_ns =
-        match (List.assoc_opt "send_enqueued" ms, List.assoc_opt "recv_dequeued" ms)
-        with
-        | Some t0, Some t1 when t1 >= t0 -> Some (float_of_int (t1 - t0))
-        | _ -> None
-      in
+      let total_ns = Latency.stage_ns Latency.Total_stage span in
       let cur =
         match Hashtbl.find_opt sites (src, dst) with
         | Some c -> c
@@ -119,7 +81,7 @@ let derive (capture : Replay.t) =
           st_completed = (cur.st_completed + if completed then 1 else 0);
           st_totals =
             (match total_ns with
-            | Some t -> Array.append cur.st_totals [| t |]
+            | Some t -> Array.append cur.st_totals [| float_of_int t |]
             | None -> cur.st_totals);
         })
     spans;
@@ -129,9 +91,7 @@ let derive (capture : Replay.t) =
     s_violations =
       List.sort compare !violations;
     s_counters = List.sort compare !counters;
-    s_stages =
-      Hashtbl.fold (fun k l acc -> (k, Array.of_list !l) :: acc) stages []
-      |> List.sort compare;
+    s_latency = latency;
     s_sites =
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) sites [] |> List.sort compare;
   }
@@ -175,17 +135,18 @@ let regressions t =
 
 let us ns = ns /. 1000.
 
+(* Per-stage p50/p99 in microseconds, base and candidate. *)
 let stage_rows t =
   List.filter_map
-    (fun (stage, _) ->
-      let b = List.assoc_opt stage t.base.s_stages in
-      let c = List.assoc_opt stage t.cand.s_stages in
-      let q side p = Option.bind side (fun a -> quantile a p) in
-      match (q b 0.5, q c 0.5) with
+    (fun stage ->
+      let b = Latency.stage_summary t.base.s_latency stage in
+      let c = Latency.stage_summary t.cand.s_latency stage in
+      let p50 = Option.map (fun s -> s.Summary.p50) in
+      let p99 = Option.map (fun s -> s.Summary.p99) in
+      match (b, c) with
       | None, None -> None
-      | bp50, cp50 ->
-          Some (stage, bp50, cp50, q b 0.99, q c 0.99))
-    stage_names
+      | _ -> Some (Latency.stage_name stage, p50 b, p50 c, p99 b, p99 c))
+    Latency.all_stages
 
 let counter_rows t =
   let kinds =
@@ -228,6 +189,8 @@ let site_rows t =
 let opt_us_json = function
   | None -> Json.Null
   | Some ns -> Json.Float (us ns)
+
+let opt_json = function None -> Json.Null | Some v -> Json.Float v
 
 let json t =
   let added, removed, changed = violation_sets t in
@@ -303,10 +266,10 @@ let json t =
                Json.Obj
                  [
                    ("stage", Json.String stage);
-                   ("base_p50_us", opt_us_json bp50);
-                   ("cand_p50_us", opt_us_json cp50);
-                   ("base_p99_us", opt_us_json bp99);
-                   ("cand_p99_us", opt_us_json cp99);
+                   ("base_p50_us", opt_json bp50);
+                   ("cand_p50_us", opt_json cp50);
+                   ("base_p99_us", opt_json bp99);
+                   ("cand_p99_us", opt_json cp99);
                  ])
              (stage_rows t)) );
       ( "sites",
@@ -355,7 +318,7 @@ let pp fmt t =
   end;
   List.iter
     (fun (stage, bp50, cp50, bp99, cp99) ->
-      let f = function None -> "-" | Some ns -> Printf.sprintf "%.2f" (us ns) in
+      let f = function None -> "-" | Some v -> Printf.sprintf "%.2f" v in
       Format.fprintf fmt "  stage %-6s p50 %sus -> %sus, p99 %sus -> %sus@."
         stage (f bp50) (f cp50) (f bp99) (f cp99))
     (stage_rows t);

@@ -1,9 +1,9 @@
 (** Cross-run capture diffing: [flipc doctor --replay A --against B].
 
-    Re-derives the full diagnosis from two captures (any mix of JSONL
-    and binary) and compares them: violations keyed by (rule, node) —
-    added, removed, count-changed; per-event-kind counter deltas;
-    per-stage latency quantile deltas over all spans; and per-site span
+    Re-derives the full diagnosis from two captures and compares them:
+    violations keyed by (rule, node) — added, removed, count-changed;
+    per-event-kind counter deltas; per-stage latency quantiles from the
+    {!Latency} fold over each capture's records; and per-site span
     accounting, where a {e site} is the (source node, destination node)
     pair of a message stream and spans within a site are aligned
     ordinally by first-step time (msg_ids differ across runs, stream

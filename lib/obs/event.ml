@@ -119,9 +119,9 @@ let name = function
   | Bulk_cancel _ -> "bulk_cancel"
   | Alert_fired { rule; _ } -> "alert:" ^ rule
 
-(* Stable wire discriminator: unlike [name] it never depends on payload
-   ([Frame_tx] is always "frame_tx", [Note] is always "note"), so a
-   trace record round-trips through {!to_json}/{!of_json}. *)
+(* Stable discriminator: unlike [name] it never depends on payload
+   ([Frame_tx] is always "frame_tx", [Note] is always "note"), so
+   rendered records and per-kind counters group by constructor. *)
 let kind = function
   | Send_enqueued _ -> "send_enqueued"
   | Doorbell _ -> "doorbell"
@@ -292,157 +292,6 @@ let to_json ev =
   in
   Json.Obj
     (("k", Json.String (kind ev)) :: ("node", Json.Int (node ev)) :: fields)
-
-let drop_reason_of_name = function
-  | "no_posted_buffer" -> Some No_posted_buffer
-  | "bad_destination" -> Some Bad_destination
-  | "corrupt_slot" -> Some Corrupt_slot
-  | "corrupt_frame" -> Some Corrupt_frame
-  | "forbidden_destination" -> Some Forbidden_destination
-  | _ -> None
-
-let fault_kind_of_name = function
-  | "drop" -> Some Fault_drop
-  | "duplicate" -> Some Fault_duplicate
-  | "reorder" -> Some Fault_reorder
-  | "jitter" -> Some Fault_jitter
-  | "corrupt" -> Some Fault_corrupt
-  | _ -> None
-
-let bulk_op_of_name = function
-  | "put" -> Some Bulk_put
-  | "get" -> Some Bulk_get
-  | _ -> None
-
-exception Bad_record of string
-
-let of_json doc =
-  let fail fmt = Printf.ksprintf (fun s -> raise (Bad_record s)) fmt in
-  let int k =
-    match Json.member k doc with
-    | Some (Json.Int i) -> i
-    | _ -> fail "missing int field %S" k
-  in
-  let str k =
-    match Json.member k doc with
-    | Some (Json.String s) -> s
-    | _ -> fail "missing string field %S" k
-  in
-  let bool k =
-    match Json.member k doc with
-    | Some (Json.Bool b) -> b
-    | _ -> fail "missing bool field %S" k
-  in
-  match
-    let node = int "node" in
-    match str "k" with
-    | "send_enqueued" ->
-        Send_enqueued
-          {
-            node;
-            ep = int "ep";
-            dst_node = int "dst_node";
-            dst_ep = int "dst_ep";
-            mid = int "mid";
-          }
-    | "doorbell" -> Doorbell { node; ep = int "ep" }
-    | "engine_tx" ->
-        Engine_tx
-          {
-            node;
-            ep = int "ep";
-            dst_node = int "dst_node";
-            dst_ep = int "dst_ep";
-            mid = int "mid";
-          }
-    | "wire_rx" -> Wire_rx { node; ep = int "ep"; mid = int "mid" }
-    | "deposit" -> Deposit { node; ep = int "ep"; mid = int "mid" }
-    | "recv_dequeued" -> Recv_dequeued { node; ep = int "ep"; mid = int "mid" }
-    | "drop" ->
-        let reason =
-          match drop_reason_of_name (str "reason") with
-          | Some r -> r
-          | None -> fail "unknown drop reason %S" (str "reason")
-        in
-        Drop { node; ep = int "ep"; mid = int "mid"; reason }
-    | "frame_tx" ->
-        Frame_tx
-          {
-            node;
-            ep = int "ep";
-            seq = int "seq";
-            mid = int "mid";
-            retransmit = bool "retransmit";
-          }
-    | "frame_deliver" ->
-        Frame_deliver { node; ep = int "ep"; seq = int "seq"; mid = int "mid" }
-    | "ack_tx" ->
-        Ack_tx { node; ep = int "ep"; cum = int "cum"; sacked = int "sacked" }
-    | "credit_grant" -> Credit_grant { node; ep = int "ep"; count = int "count" }
-    | "window_send" ->
-        Window_send
-          {
-            node;
-            ep = int "ep";
-            mid = int "mid";
-            sent = int "sent";
-            granted = int "granted";
-            window = int "window";
-          }
-    | "drops_read" -> Drops_read { node; ep = int "ep"; count = int "count" }
-    | "engine_park" -> Engine_park { node; idle = int "idle_iterations" }
-    | "engine_wake" -> Engine_wake { node }
-    | "fault" ->
-        let kind =
-          match fault_kind_of_name (str "kind") with
-          | Some k -> k
-          | None -> fail "unknown fault kind %S" (str "kind")
-        in
-        Fault { node; kind; mid = int "mid" }
-    | "note" -> Note { node; tag = str "tag"; detail = str "detail" }
-    | "kkt_call" ->
-        Kkt_call
-          { node; dst_node = int "dst_node"; id = int "id"; mid = int "mid" }
-    | "kkt_dispatch" ->
-        Kkt_dispatch { node; id = int "id"; valid = bool "valid"; mid = int "mid" }
-    | "kkt_reply" ->
-        Kkt_reply
-          { node; dst_node = int "dst_node"; id = int "id"; mid = int "mid" }
-    | "kkt_complete" -> Kkt_complete { node; id = int "id"; mid = int "mid" }
-    | "bulk_start" ->
-        let op =
-          match bulk_op_of_name (str "op") with
-          | Some op -> op
-          | None -> fail "unknown bulk op %S" (str "op")
-        in
-        Bulk_start
-          {
-            node;
-            dst_node = int "dst_node";
-            transfer = int "transfer";
-            op;
-            total = int "total";
-            mid = int "mid";
-          }
-    | "bulk_chunk" ->
-        Bulk_chunk
-          {
-            node;
-            transfer = int "transfer";
-            offset = int "offset";
-            len = int "len";
-            mid = int "mid";
-          }
-    | "bulk_complete" ->
-        Bulk_complete { node; transfer = int "transfer"; mid = int "mid" }
-    | "bulk_cancel" ->
-        Bulk_cancel { node; transfer = int "transfer"; mid = int "mid" }
-    | "alert_fired" ->
-        Alert_fired { node; rule = str "rule"; detail = str "detail" }
-    | k -> fail "unknown event kind %S" k
-  with
-  | ev -> Ok ev
-  | exception Bad_record msg -> Error msg
 
 let pp fmt ev =
   Fmt.pf fmt "n%d %-14s" (node ev) (name ev);

@@ -124,8 +124,8 @@ val bulk_op_name : bulk_op -> string
     [Frame_tx] shows as "retransmit"). *)
 val name : t -> string
 
-(** Stable wire discriminator: payload-independent, one per constructor.
-    This — not {!name} — keys the {!to_json}/{!of_json} round-trip. *)
+(** Stable discriminator: payload-independent, one per constructor.
+    This — not {!name} — is the ["k"] field of {!to_json}. *)
 val kind : t -> string
 
 (** The node the event happened on. *)
@@ -137,10 +137,9 @@ val mid : t -> int option
 (** Structured payload for JSON export, deterministic field order. *)
 val args : t -> (string * Json.t) list
 
-(** Self-describing record: [{"k": kind, "node": n, ...fields}]. *)
+(** Self-describing record: [{"k": kind, "node": n, ...fields}] — the
+    rendering of a capture's event ({!Replay.jsonl}); captures themselves
+    are binary ({!Codec}). *)
 val to_json : t -> Json.t
-
-(** Inverse of {!to_json}. *)
-val of_json : Json.t -> (t, string) result
 
 val pp : Format.formatter -> t -> unit

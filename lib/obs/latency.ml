@@ -1,152 +1,145 @@
 module Summary = Flipc_stats.Summary
+module Vtime = Flipc_sim.Vtime
 
-type stage = Send_stage | Wire_stage | Recv_stage | Total_stage
+type stage = Send_stage | Wire_stage | Queue_stage | Recv_stage | Total_stage
 
 let stage_name = function
   | Send_stage -> "send"
   | Wire_stage -> "wire"
+  | Queue_stage -> "queue"
   | Recv_stage -> "recv"
   | Total_stage -> "total"
 
-let all_stages = [ Send_stage; Wire_stage; Recv_stage; Total_stage ]
-
-(* Matching queues between consecutive stamps, keyed by destination
-   (node-global) endpoint. Every stage of a message's life knows its
-   destination address — the sender wrote it, the wire image carries it,
-   and the receiving endpoint is it — and each hop preserves FIFO order
-   per destination on a reliable fabric, so pairing stamps needs no
-   per-message identifier in the wire format. *)
-type rec_state = {
-  (* send-enqueue stamps awaiting engine pickup *)
-  q_tx : (int, int Queue.t) Hashtbl.t;
-  (* (t0, t1) awaiting arrival at the destination engine *)
-  q_wire : (int, (int * int) Queue.t) Hashtbl.t;
-  (* (t0, t1, t2) sitting in the destination engine's incoming queue *)
-  q_handle : (int, (int * int * int) Queue.t) Hashtbl.t;
-  (* (t0, t1, t2) deposited, awaiting application dequeue *)
-  q_recv : (int, (int * int * int) Queue.t) Hashtbl.t;
-}
-
-(* Per-stage accumulator: a constant-storage sketch over microsecond
-   samples (exact count/sum, log-bucketed quantiles). *)
-type stage_acc = { sketch : Sketch.t }
-
-type t = {
-  state : rec_state;
-  stages : stage_acc array; (* indexed by stage order in [all_stages] *)
-  mutable unmatched : int;
-  mutable dropped_in_flight : int;
-  queue_cap : int;
-}
+let all_stages = [ Send_stage; Wire_stage; Queue_stage; Recv_stage; Total_stage ]
 
 let stage_index = function
   | Send_stage -> 0
   | Wire_stage -> 1
-  | Recv_stage -> 2
-  | Total_stage -> 3
+  | Queue_stage -> 2
+  | Recv_stage -> 3
+  | Total_stage -> 4
+
+(* The lifecycle milestones in path order, and the one table of stage
+   boundaries over them. *)
+let milestone = function
+  | Event.Send_enqueued _ -> 0
+  | Event.Engine_tx _ -> 1
+  | Event.Wire_rx _ -> 2
+  | Event.Deposit _ -> 3
+  | Event.Recv_dequeued _ -> 4
+  | _ -> -1
+
+let last_milestone = 4
+
+let bounds = function
+  | Send_stage -> (0, 1)
+  | Wire_stage -> (1, 2)
+  | Queue_stage -> (2, 3)
+  | Recv_stage -> (3, 4)
+  | Total_stage -> (0, 4)
+
+let stage_ns stage (span : Causal.span) =
+  let a, b = bounds stage in
+  let first m =
+    List.find_map
+      (fun (s : Causal.step) ->
+        if milestone s.ev = m then Some (Vtime.to_ns s.ts) else None)
+      span.steps
+  in
+  match (first a, first b) with
+  | Some t0, Some t1 when t1 >= t0 -> Some (t1 - t0)
+  | _ -> None
+
+(* Open records in a table indexed by mid. A slot holds one message:
+   its mid (0 = free), whether it is counted as dropped, and the time it
+   reached each milestone before the last (-1 = not yet). The last
+   milestone closes the record and frees the slot. *)
+let slots = 65_536
+
+type t = {
+  mids : int array;
+  lost : Bytes.t;
+  stamps : int array; (* slot * last_milestone + milestone *)
+  sketches : Sketch.t array; (* by stage index *)
+  mutable unmatched : int;
+  mutable dropped_in_flight : int;
+}
 
 let create () =
   {
-    state =
-      {
-        q_tx = Hashtbl.create 32;
-        q_wire = Hashtbl.create 32;
-        q_handle = Hashtbl.create 32;
-        q_recv = Hashtbl.create 32;
-      };
-    stages = Array.init 4 (fun _ -> { sketch = Sketch.create () });
+    mids = Array.make slots 0;
+    lost = Bytes.make slots '\000';
+    stamps = Array.make (slots * last_milestone) (-1);
+    sketches = Array.init (List.length all_stages) (fun _ -> Sketch.create ());
     unmatched = 0;
     dropped_in_flight = 0;
-    queue_cap = 65_536;
   }
 
-let key ~node ~ep = (node lsl 20) lor (ep land 0xFFFFF)
+let sketch t stage = t.sketches.(stage_index stage)
+let is_lost t s = Bytes.get t.lost s <> '\000'
+let set_lost t s b = Bytes.set t.lost s (if b then '\001' else '\000')
 
-let q tbl k =
-  match Hashtbl.find_opt tbl k with
-  | Some q -> q
-  | None ->
-      let q = Queue.create () in
-      Hashtbl.add tbl k q;
-      q
+let open_record t s ~mid ~now =
+  if t.mids.(s) <> 0 && not (is_lost t s) then t.unmatched <- t.unmatched + 1;
+  t.mids.(s) <- mid;
+  set_lost t s false;
+  let base = s * last_milestone in
+  t.stamps.(base) <- now;
+  for m = 1 to last_milestone - 1 do
+    t.stamps.(base + m) <- -1
+  done
 
-(* A queue that outgrows the cap means a stamp stream with no matching
-   downstream stage (e.g. a fuzzing workload sending into the void);
-   shed the oldest so memory stays bounded. *)
-let push_capped t queue x =
-  if Queue.length queue >= t.queue_cap then begin
-    ignore (Queue.pop queue);
-    t.unmatched <- t.unmatched + 1
-  end;
-  Queue.push x queue
+let reach t s m ~now =
+  let base = s * last_milestone in
+  if m = last_milestone || t.stamps.(base + m) < 0 then begin
+    List.iter
+      (fun stage ->
+        let a, b = bounds stage in
+        let t0 = t.stamps.(base + a) in
+        if b = m && t0 >= 0 then
+          Sketch.observe (sketch t stage) (float_of_int (now - t0) /. 1000.))
+      all_stages;
+    if m < last_milestone then t.stamps.(base + m) <- now
+    else begin
+      if is_lost t s then t.dropped_in_flight <- t.dropped_in_flight - 1;
+      t.mids.(s) <- 0
+    end
+  end
 
-let observe t stage ~ns =
-  let acc = t.stages.(stage_index stage) in
-  Sketch.observe acc.sketch (float_of_int ns /. 1000.)
+let ends_path = function
+  | Event.Drop _ | Event.Fault { kind = Event.Fault_drop | Event.Fault_corrupt; _ }
+    ->
+      true
+  | _ -> false
 
-let send_enqueued t ~now ~dst_node ~dst_ep =
-  push_capped t (q t.state.q_tx (key ~node:dst_node ~ep:dst_ep)) now
+let observe t ~now ev =
+  let m = milestone ev in
+  if m >= 0 || ends_path ev then
+    match Event.mid ev with
+    | None -> ()
+    | Some mid ->
+        let s = mid land (slots - 1) in
+        let now = Vtime.to_ns now in
+        if m = 0 then open_record t s ~mid ~now
+        else if t.mids.(s) <> mid then t.unmatched <- t.unmatched + 1
+        else if m > 0 then reach t s m ~now
+        else if not (is_lost t s) then begin
+          set_lost t s true;
+          t.dropped_in_flight <- t.dropped_in_flight + 1
+        end
 
-(* The engine refused the message after enqueue (forbidden destination or
-   undeliverable address): retire the pending send stamp. *)
-let send_refused t ~dst_node ~dst_ep =
-  let queue = q t.state.q_tx (key ~node:dst_node ~ep:dst_ep) in
-  if Queue.is_empty queue then t.unmatched <- t.unmatched + 1
-  else ignore (Queue.pop queue)
+let attach obs =
+  let t = create () in
+  Obs.add_watcher obs (fun now ev -> observe t ~now ev);
+  t
 
-let engine_tx t ~now ~dst_node ~dst_ep =
-  let k = key ~node:dst_node ~ep:dst_ep in
-  let t0 =
-    match Queue.take_opt (q t.state.q_tx k) with
-    | Some t0 ->
-        observe t Send_stage ~ns:(now - t0);
-        t0
-    | None ->
-        t.unmatched <- t.unmatched + 1;
-        now
-  in
-  push_capped t (q t.state.q_wire k) (t0, now)
+let feed t records =
+  List.iter (fun (r : Replay.record) -> observe t ~now:r.r_ts r.r_ev) records
 
-let wire_rx t ~now ~node ~ep =
-  let k = key ~node ~ep in
-  let t0, t1 =
-    match Queue.take_opt (q t.state.q_wire k) with
-    | Some (t0, t1) ->
-        observe t Wire_stage ~ns:(now - t1);
-        (t0, t1)
-    | None ->
-        t.unmatched <- t.unmatched + 1;
-        (now, now)
-  in
-  push_capped t (q t.state.q_handle k) (t0, t1, now)
-
-(* The destination engine processes its incoming queue in arrival order,
-   so the head of [q_handle] is exactly the message being handled. *)
-let take_handled t ~node ~ep =
-  Queue.take_opt (q t.state.q_handle (key ~node ~ep))
-
-let deposited t ~node ~ep =
-  match take_handled t ~node ~ep with
-  | Some stamps -> push_capped t (q t.state.q_recv (key ~node ~ep)) stamps
-  | None -> t.unmatched <- t.unmatched + 1
-
-let discarded t ~node ~ep =
-  match take_handled t ~node ~ep with
-  | Some _ -> t.dropped_in_flight <- t.dropped_in_flight + 1
-  | None -> t.unmatched <- t.unmatched + 1
-
-let recv_dequeued t ~now ~node ~ep =
-  match Queue.take_opt (q t.state.q_recv (key ~node ~ep)) with
-  | Some (t0, _t1, t2) ->
-      observe t Recv_stage ~ns:(now - t2);
-      observe t Total_stage ~ns:(now - t0)
-  | None -> t.unmatched <- t.unmatched + 1
-
-let stage_count t stage = Sketch.count t.stages.(stage_index stage).sketch
-let stage_sum_us t stage = Sketch.sum t.stages.(stage_index stage).sketch
-let stage_mean_us t stage = Sketch.mean t.stages.(stage_index stage).sketch
-let stage_summary t stage = Sketch.summary t.stages.(stage_index stage).sketch
-
+let stage_count t stage = Sketch.count (sketch t stage)
+let stage_sum_us t stage = Sketch.sum (sketch t stage)
+let stage_mean_us t stage = Sketch.mean (sketch t stage)
+let stage_summary t stage = Sketch.summary (sketch t stage)
 let unmatched t = t.unmatched
 let dropped_in_flight t = t.dropped_in_flight
 

@@ -1,81 +1,87 @@
 (** Per-message latency breakdown: who owns each microsecond.
 
-    Messages are stamped (in virtual time) at the four transitions of
-    the optimistic path — application send-enqueue, engine transmit,
-    arrival at the destination engine, application dequeue — and the
-    deltas are accumulated per stage:
+    A fold over the typed event stream. Every lifecycle event carries
+    the causal message id ([mid], see {!Event}), and five stages are
+    each bounded by two lifecycle kinds — the first event of each kind
+    for one mid:
 
-    - [Send_stage]: enqueue → engine transmit (engine pickup/discovery
-      plus the transmit-side processing);
-    - [Wire_stage]: engine transmit → destination-engine arrival
-      (DMA/injection plus fabric flight);
-    - [Recv_stage]: arrival → application dequeue (deposit plus
-      receive-side discovery);
-    - [Total_stage]: enqueue → dequeue (end to end).
+    - [Send_stage]: [Send_enqueued] → [Engine_tx] (engine pickup and
+      transmit-side processing);
+    - [Wire_stage]: [Engine_tx] → [Wire_rx] (DMA/injection plus fabric
+      flight);
+    - [Queue_stage]: [Wire_rx] → [Deposit] (the destination engine's
+      incoming queue and the deposit itself);
+    - [Recv_stage]: [Deposit] → [Recv_dequeued] (receive-side discovery
+      by the application);
+    - [Total_stage]: [Send_enqueued] → [Recv_dequeued] (end to end).
 
-    By construction each message's stage deltas sum exactly to its
-    end-to-end latency; the stage means therefore sum to the total mean
-    (percentiles, being order statistics, need not).
+    Every sample joins two events with the same mid, so duplicated,
+    dropped or reordered frames cannot mispair: a duplicate adds no
+    second sample, and [Total_stage] counts exactly the messages with a
+    [Send_enqueued] and a [Recv_dequeued]. The first four stages chain,
+    so a message that passes every milestone contributes four samples
+    summing exactly to its total.
 
-    Stamps are paired by destination endpoint in FIFO order, so no
-    message identifier travels on the wire; on a reliable in-order
-    fabric the pairing is exact. Fault injection (drops, duplicates,
-    reordering) breaks FIFO pairing: mismatches are shed into
-    {!unmatched} rather than corrupting queues, and stage attribution
-    degrades to an approximation — use lossless runs for exact
-    breakdowns. Engine-discarded messages are retired via {!discarded}
-    and counted in {!dropped_in_flight}.
+    {b Faults.} A message whose record sees a [Drop] or a wire [Fault]
+    of kind drop or corrupt is counted in {!dropped_in_flight}, and taken
+    back out if the same mid later reaches [Recv_dequeued] (a duplicate
+    copy got through). Mind the order: the fault injector emits its
+    marker inside transmit, before the engine's [Engine_tx]; a checksum
+    discard emits [Drop] with mid 0 after the frame's [Wire_rx] — events
+    without a mid are not attributed, the message was counted by its
+    corrupt marker. An event whose mid has no open record counts in
+    {!unmatched}.
 
-    All storage is bounded: per-stage accumulators are constant-size
-    log-bucketed sketches ({!Sketch}) and match queues are capped. *)
+    {b Bounded.} Open records live in a 65,536-slot table indexed by
+    mid: a new message evicts the record 65,536 mids older, counting it
+    in {!unmatched} unless it was already counted as dropped. Per-stage
+    accumulators are constant-size sketches ({!Sketch}). *)
 
 type t
 
-type stage = Send_stage | Wire_stage | Recv_stage | Total_stage
+type stage = Send_stage | Wire_stage | Queue_stage | Recv_stage | Total_stage
 
 val stage_name : stage -> string
+
+(** Path order, [Total_stage] last. *)
 val all_stages : stage list
+
+(** [stage_ns stage span] is the stage's duration within one causal
+    span — the first event of its closing kind minus the first of its
+    opening kind — if both happened, in that order. *)
+val stage_ns : stage -> Causal.span -> int option
 
 val create : unit -> t
 
-(** {1 Stamping (called by the instrumented stack)} *)
+(** [attach obs] returns a fresh breakdown fed by a watcher on [obs]
+    (which makes {!Obs.tracing} true). Attach before the run: events
+    from before the attach are not seen. *)
+val attach : Obs.t -> t
 
-val send_enqueued : t -> now:int -> dst_node:int -> dst_ep:int -> unit
-
-(** The engine refused a queued message (forbidden/undeliverable):
-    retire its pending send stamp. *)
-val send_refused : t -> dst_node:int -> dst_ep:int -> unit
-
-val engine_tx : t -> now:int -> dst_node:int -> dst_ep:int -> unit
-val wire_rx : t -> now:int -> node:int -> ep:int -> unit
-
-(** The destination engine deposited the handled message. *)
-val deposited : t -> node:int -> ep:int -> unit
-
-(** The destination engine discarded the handled message. *)
-val discarded : t -> node:int -> ep:int -> unit
-
-val recv_dequeued : t -> now:int -> node:int -> ep:int -> unit
+(** [feed t records] folds replayed capture records, in file order. *)
+val feed : t -> Replay.record list -> unit
 
 (** {1 Results} *)
 
-(** Messages that completed this stage (all-time, exact). *)
+(** Messages that completed this stage (exact). *)
 val stage_count : t -> stage -> int
 
-(** All-time sum in microseconds (exact). *)
+(** Sum in microseconds (exact). *)
 val stage_sum_us : t -> stage -> float
 
-(** All-time mean in microseconds ([None] before any sample). *)
+(** Mean in microseconds ([None] before any sample). *)
 val stage_mean_us : t -> stage -> float option
 
 (** Sketch percentiles + exact moments over all observations. *)
 val stage_summary : t -> stage -> Flipc_stats.Summary.t option
 
-(** Stamps that found no partner (fault-injected fabrics, shed queue
-    entries). Zero on a lossless in-order run. *)
+(** Lifecycle events that found no open record for their mid: events
+    from before the attach, evicted records, late duplicate copies. Zero
+    on a lossless run observed from the start. *)
 val unmatched : t -> int
 
-(** Messages the engine discarded between wire arrival and deposit. *)
+(** Messages whose path ended in a drop: an engine discard, a refused
+    send, or a wire drop or corruption. *)
 val dropped_in_flight : t -> int
 
 val pp : Format.formatter -> t -> unit

@@ -5,30 +5,12 @@ type t = {
   sim : Engine.t;
   metrics : Metrics.t;
   tracer : Tracer.t;
-  latency : Latency.t;
   mutable label : string;
   mutable watchers : (Flipc_sim.Vtime.t -> Event.t -> unit) list;
   mutable reporters : (Format.formatter -> unit) list;
 }
 
 let next_id = ref 0
-
-(* Global capture: while active, every Obs.t created anywhere in the
-   process starts with tracing enabled and is remembered, so a CLI
-   `--trace out.json` flag can collect timelines from machines built
-   deep inside workload helpers without plumbing. *)
-let capture_box : t list ref option ref = ref None
-
-let start_capture () =
-  match !capture_box with
-  | Some _ -> ()
-  | None -> capture_box := Some (ref [])
-
-let stop_capture () = capture_box := None
-let capturing () = !capture_box <> None
-
-let captured () =
-  match !capture_box with Some l -> List.rev !l | None -> []
 
 (* Creation hooks: tooling (e.g. a trace sink behind a CLI `--capture`
    flag) registers one to be handed every bundle the process creates,
@@ -45,20 +27,17 @@ let on_create f =
 let create ?(tracing = false) ?(trace_capacity = 65_536) ~sim () =
   let id = !next_id in
   incr next_id;
-  let tracing = tracing || capturing () in
   let t =
     {
       id;
       sim;
       metrics = Metrics.create ();
       tracer = Tracer.create ~capacity:trace_capacity ~enabled:tracing ();
-      latency = Latency.create ();
       label = Printf.sprintf "flipc machine %d" id;
       watchers = [];
       reporters = [];
     }
   in
-  (match !capture_box with Some l -> l := t :: !l | None -> ());
   List.iter (fun (_, f) -> f t) !hooks;
   t
 
@@ -66,7 +45,6 @@ let id t = t.id
 let sim t = t.sim
 let metrics t = t.metrics
 let tracer t = t.tracer
-let latency t = t.latency
 let now t = Engine.now t.sim
 let label t = t.label
 let set_label t s = t.label <- s
@@ -87,19 +65,3 @@ let event t ev =
 
 let add_reporter t f = t.reporters <- t.reporters @ [ f ]
 let report t fmt = List.iter (fun f -> f fmt) t.reporters
-
-let chrome_json_of list =
-  let events =
-    List.concat_map
-      (fun t ->
-        Tracer.chrome_events ~pid:t.id ~process_name:t.label t.tracer)
-      list
-  in
-  Json.Obj
-    [
-      ("traceEvents", Json.List events);
-      ("displayTimeUnit", Json.String "ns");
-    ]
-
-let chrome_json t = chrome_json_of [ t ]
-let captured_chrome_json () = chrome_json_of (captured ())

@@ -1,21 +1,19 @@
 (** Per-machine observability bundle: metrics registry + typed event
-    tracer + per-message latency breakdown, sharing the machine's
-    virtual clock.
+    stream, sharing the machine's virtual clock.
 
     {!Machine.create} builds one per machine and threads it through the
     engines, the application interface, the flow-control libraries and
-    the fault injector. Metrics and latency stamping are always on
-    (they cost only host time, never virtual time, so they cannot
-    perturb measured latencies); event tracing is off by default —
-    enable it via [tracing], {!Tracer.enable} on {!tracer}, or a
-    {!start_capture} window. *)
+    the fault injector. Metrics are always on (they cost only host time,
+    never virtual time, so they cannot perturb measured latencies);
+    events are built only while someone listens — the ring ([tracing],
+    {!Tracer.enable} on {!tracer}) or a watcher ({!add_watcher}: a
+    {!Sink}, a {!Monitor}, a {!Latency} breakdown). *)
 
 type t
 
 (** [create ~sim ()] builds a bundle on [sim]'s clock. [tracing]
     enables the event tracer from the start ([trace_capacity] bounds
-    it). Latency accumulators are constant-size sketches and need no
-    capacity. *)
+    it). *)
 val create :
   ?tracing:bool -> ?trace_capacity:int -> sim:Flipc_sim.Engine.t -> unit -> t
 
@@ -25,7 +23,6 @@ val id : t -> int
 val sim : t -> Flipc_sim.Engine.t
 val metrics : t -> Metrics.t
 val tracer : t -> Tracer.t
-val latency : t -> Latency.t
 
 (** Current virtual time. *)
 val now : t -> Flipc_sim.Vtime.t
@@ -60,29 +57,8 @@ val add_reporter : t -> (Format.formatter -> unit) -> unit
 (** Run every registered reporter. *)
 val report : t -> Format.formatter -> unit
 
-(** Chrome [trace_event] document for this machine's tracer. *)
-val chrome_json : t -> Json.t
-
-(** {1 Global capture}
-
-    For tooling that cannot reach machines built inside workload
-    helpers: between [start_capture ()] and [stop_capture ()], every
-    bundle created in the process starts with tracing enabled and is
-    remembered. *)
-
-val start_capture : unit -> unit
-val stop_capture : unit -> unit
-val capturing : unit -> bool
-
-(** Bundles created during the active capture window, oldest first. *)
-val captured : unit -> t list
-
 (** [on_create f] registers a hook run on every subsequently created
-    bundle (after capture-window registration); returns a disposer.
-    {!Sink.attach} uses this to capture machines built deep inside
-    workload helpers. *)
+    bundle; returns a disposer. This is how tooling reaches machines
+    built deep inside workload helpers: the CLI's [--capture] attaches a
+    {!Sink} and its [--trace] enables each tracer through it. *)
 val on_create : (t -> unit) -> unit -> unit
-
-(** Merged Chrome trace of every captured bundle (machines become
-    processes, nodes become threads). *)
-val captured_chrome_json : unit -> Json.t

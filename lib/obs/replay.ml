@@ -3,76 +3,23 @@ module Vtime = Flipc_sim.Vtime
 type record = { r_ts : Vtime.t; r_pid : int; r_ev : Event.t }
 
 type t = {
-  version : int;
   meta : (string * Json.t) list;
   records : record list; (* file (= emission) order *)
   machines : (int * string) list; (* pid -> label, from the trailer *)
   summary : Json.t option;
 }
 
-let version t = t.version
 let meta t = t.meta
 let records t = t.records
 let machines t = t.machines
 let summary t = t.summary
 
-let parse_line ~lineno line state =
-  let version, meta, records, machines, summary = state in
-  match Json.of_string line with
-  | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
-  | Ok doc -> (
-      match Json.member "flipc_trace" doc with
-      | Some (Json.Int v) ->
-          let meta =
-            match Json.member "meta" doc with
-            | Some (Json.Obj fields) -> fields
-            | _ -> []
-          in
-          Ok (Some v, meta, records, machines, summary)
-      | Some _ -> Error (Printf.sprintf "line %d: bad version field" lineno)
-      | None -> (
-          match Json.member "machines" doc with
-          | Some (Json.List ms) ->
-              let machines =
-                List.filter_map
-                  (fun m ->
-                    match
-                      ( Option.bind (Json.member "pid" m) Json.to_int,
-                        Option.bind (Json.member "label" m) Json.to_str )
-                    with
-                    | Some pid, Some label -> Some (pid, label)
-                    | _ -> None)
-                  ms
-              in
-              Ok (version, meta, records, machines, Json.member "summary" doc)
-          | _ -> (
-              match
-                ( Option.bind (Json.member "t" doc) Json.to_int,
-                  Option.bind (Json.member "pid" doc) Json.to_int )
-              with
-              | Some ts, Some pid -> (
-                  match Event.of_json doc with
-                  | Ok ev ->
-                      Ok
-                        ( version,
-                          meta,
-                          { r_ts = Vtime.ns ts; r_pid = pid; r_ev = ev }
-                          :: records,
-                          machines,
-                          summary )
-                  | Error msg ->
-                      Error (Printf.sprintf "line %d: %s" lineno msg))
-              | _ ->
-                  Error
-                    (Printf.sprintf "line %d: not a trace record" lineno))))
-
-let load_binary path =
+let load path =
   match Codec.read_file path with
   | Error _ as e -> e
   | Ok d ->
       Ok
         {
-          version = Codec.format_version;
           meta = d.Codec.d_meta;
           records =
             List.map
@@ -87,44 +34,41 @@ let load_binary path =
           summary = d.Codec.d_summary;
         }
 
-let load_jsonl path =
-  match open_in path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-      let finally () = close_in_noerr ic in
-      Fun.protect ~finally (fun () ->
-          let rec loop lineno state =
-            match input_line ic with
-            | exception End_of_file -> Ok state
-            | "" -> loop (lineno + 1) state
-            | line -> (
-                match parse_line ~lineno line state with
-                | Ok state -> loop (lineno + 1) state
-                | Error _ as e -> e)
-          in
-          match loop 1 (None, [], [], [], None) with
-          | Error _ as e -> e
-          | Ok (None, _, _, _, _) ->
-              Error "not a flipc trace (missing header line)"
-          | Ok (Some version, meta, records, machines, summary) ->
-              if version <> Sink.format_version then
-                Error
-                  (Printf.sprintf "unsupported trace version %d (want %d)"
-                     version Sink.format_version)
-              else
-                Ok
-                  {
-                    version;
-                    meta;
-                    records = List.rev records;
-                    machines;
-                    summary;
-                  })
+let of_obs obs =
+  let pid = Obs.id obs in
+  {
+    meta = [];
+    records =
+      List.map
+        (fun (e : Tracer.entry) -> { r_ts = e.ts; r_pid = pid; r_ev = e.ev })
+        (Tracer.to_list (Obs.tracer obs));
+    machines = [ (pid, Obs.label obs) ];
+    summary = None;
+  }
 
-(* One loader for both capture formats: binary files announce
-   themselves with the codec magic; anything else is treated as the
-   JSONL format (whose own header check rejects non-traces). *)
-let load path = if Codec.is_binary path then load_binary path else load_jsonl path
+let jsonl t =
+  let header =
+    Json.Obj
+      [ ("flipc_trace", Json.Int Codec.format_version); ("meta", Json.Obj t.meta) ]
+  in
+  let record r =
+    let fields =
+      match Event.to_json r.r_ev with Json.Obj f -> f | j -> [ ("ev", j) ]
+    in
+    Json.Obj
+      (("t", Json.Int (Vtime.to_ns r.r_ts)) :: ("pid", Json.Int r.r_pid) :: fields)
+  in
+  let trailer =
+    Json.Obj
+      (( "machines",
+         Json.List
+           (List.map
+              (fun (pid, label) ->
+                Json.Obj [ ("pid", Json.Int pid); ("label", Json.String label) ])
+              t.machines) )
+      :: (match t.summary with None -> [] | Some s -> [ ("summary", s) ]))
+  in
+  List.map Json.to_string ((header :: List.map record t.records) @ [ trailer ])
 
 (* File order is global emission order; the stable re-sort by timestamp
    mirrors what [Causal.spans] does to live rings, so span construction

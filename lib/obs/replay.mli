@@ -1,24 +1,28 @@
-(** Offline trace replay: parse a {!Sink} capture back into typed
+(** Offline trace replay: decode a {!Sink} capture back into typed
     events and drive the live diagnosis machinery on it.
 
-    [flipc doctor --replay out.trace] uses this to reproduce a live
+    [flipc doctor --replay out.ftrace] uses this to reproduce a live
     run's report from a file alone: {!steps} feeds
     {!Causal.spans_of_steps} for span reconstruction, and the records
     feed a detached {!Monitor} ({!Monitor.create}/{!Monitor.feed}) for
     the full rule catalogue — same spans, same violations, same
-    stalled-stage verdicts as the run that wrote the capture. *)
+    stalled-stage verdicts as the run that wrote the capture.
+
+    A capture has one format, the {!Codec} binary frames; {!jsonl} is
+    its human-readable rendering ([flipc trace --replay]). *)
 
 type record = { r_ts : Flipc_sim.Vtime.t; r_pid : int; r_ev : Event.t }
 type t
 
-(** [load path] parses a capture, auto-detecting the format: files
-    starting with {!Codec.magic} decode as binary [.ftrace] captures,
-    anything else parses as JSONL. [Error] carries the first offending
-    line (JSONL) or byte offset (binary). Unknown trailing fields are
-    ignored; version mismatches are errors in both formats. *)
+(** [load path] decodes a capture. [Error] names the offending byte
+    offset; a missing magic (for example a JSONL file) or a version
+    mismatch is an error. *)
 val load : string -> (t, string) result
 
-val version : t -> int
+(** [of_obs obs] views a live bundle's retained ring as a capture: its
+    records, its label in the machine table, no metadata or summary. *)
+val of_obs : Obs.t -> t
+
 val meta : t -> (string * Json.t) list
 
 (** Event records in file (= emission) order. *)
@@ -30,6 +34,14 @@ val machines : t -> (int * string) list
 
 (** The run summary the capturing command stored, if any. *)
 val summary : t -> Json.t option
+
+(** The capture rendered as JSON lines:
+    - a header, [{"flipc_trace":<version>,"meta":{...}}];
+    - one record per event, [{"t":<ns>,"pid":<obs id>,"k":<kind>,...}]
+      ({!Event.to_json} behind the timestamp and pid);
+    - a trailer, [{"machines":[{"pid":..,"label":..}],"summary":...}]
+      (the summary only when one was stored). *)
+val jsonl : t -> string list
 
 (** Records as causal steps (machine labels resolved), time-ordered the
     same way {!Causal.spans} orders live rings. *)

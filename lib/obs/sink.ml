@@ -1,9 +1,5 @@
-module Vtime = Flipc_sim.Vtime
-
-type mode = Jsonl of out_channel | Binary of Codec.encoder
-
 type t = {
-  mode : mode;
+  enc : Codec.encoder;
   path : string;
   mutable machines : Obs.t list; (* newest first *)
   mutable events : int;
@@ -11,47 +7,14 @@ type t = {
   mutable closed : bool;
 }
 
-let format_version = 1
-
-let binary_suffix = ".ftrace"
-
-let create ?(meta = []) ?format ~path () =
-  let binary =
-    match format with
-    | Some `Binary -> true
-    | Some `Jsonl -> false
-    | None -> Filename.check_suffix path binary_suffix
-  in
-  let oc = open_out_bin path in
-  let mode =
-    if binary then begin
-      let enc = Codec.to_channel oc in
-      Codec.write_meta enc meta;
-      Binary enc
-    end
-    else begin
-      Json.to_channel oc
-        (Json.Obj
-           [ ("flipc_trace", Json.Int format_version); ("meta", Json.Obj meta) ]);
-      Jsonl oc
-    end
-  in
-  { mode; path; machines = []; events = 0; summary = None; closed = false }
+let create ?(meta = []) ~path () =
+  let enc = Codec.to_channel (open_out_bin path) in
+  Codec.write_meta enc meta;
+  { enc; path; machines = []; events = 0; summary = None; closed = false }
 
 let record t ~now ~pid ev =
   if not t.closed then begin
-    (match t.mode with
-    | Jsonl oc ->
-        let fields =
-          match Event.to_json ev with
-          | Json.Obj f -> f
-          | other -> [ ("ev", other) ]
-        in
-        Json.to_channel oc
-          (Json.Obj
-             (("t", Json.Int (Vtime.to_ns now)) :: ("pid", Json.Int pid)
-             :: fields))
-    | Binary enc -> Codec.write_event enc ~now ~pid ev);
+    Codec.write_event t.enc ~now ~pid ev;
     t.events <- t.events + 1
   end
 
@@ -78,26 +41,8 @@ let close t =
     let machines =
       List.sort (fun a b -> compare (Obs.id a) (Obs.id b)) t.machines
     in
-    let labelled = List.map (fun o -> (Obs.id o, Obs.label o)) machines in
-    match t.mode with
-    | Jsonl oc ->
-        Json.to_channel oc
-          (Json.Obj
-             (( "machines",
-                Json.List
-                  (List.map
-                     (fun (pid, label) ->
-                       Json.Obj
-                         [
-                           ("pid", Json.Int pid); ("label", Json.String label);
-                         ])
-                     labelled) )
-             ::
-             (match t.summary with
-             | None -> []
-             | Some s -> [ ("summary", s) ])));
-        close_out oc
-    | Binary enc ->
-        Codec.write_trailer enc ~machines:labelled ~summary:t.summary;
-        close_out (Codec.channel enc)
+    Codec.write_trailer t.enc
+      ~machines:(List.map (fun o -> (Obs.id o, Obs.label o)) machines)
+      ~summary:t.summary;
+    close_out (Codec.channel t.enc)
   end

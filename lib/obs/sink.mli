@@ -1,48 +1,32 @@
 (** Streaming trace sink: persistent flight-data capture.
 
-    Spills typed events to a compact JSONL file as they happen, so a
-    failure that out-lives the in-memory ring can still be diagnosed
+    Spills typed events to a {!Codec} binary capture as they happen, so
+    a failure that out-lives the in-memory ring can still be diagnosed
     offline ({!Replay} + [flipc doctor --replay]). The CLI wires one up
-    behind [--capture out.trace] on every subcommand, attaching it to
+    behind [--capture out.ftrace] on every subcommand, attaching it to
     each machine the run creates via {!Obs.on_create}.
 
-    {b File format} (one JSON document per line):
-    - header: [{"flipc_trace":1,"meta":{...}}] — version + free-form
-      run metadata;
-    - records: [{"t":<ns>,"pid":<obs id>,"k":<kind>,...fields}] — one
-      self-describing {!Event.t} per line ({!Event.to_json}), virtual
-      timestamps preserved exactly, in emission order;
-    - trailer: [{"machines":[{"pid":..,"label":..}],"summary":...}] —
-      machine labels (only final at close) and an optional run summary
-      a replaying doctor echoes back.
+    {b File format} ({!Codec}): the magic and version, then
+    length-prefixed frames —
+    - a metadata frame: free-form run metadata;
+    - one frame per event: virtual timestamp (delta-coded, exact), pid
+      ({!Obs.id}) and the {!Event.t}, in emission order;
+    - a trailer frame: machine labels (only final at close) and an
+      optional run summary a replaying doctor echoes back.
+
+    {!Replay.jsonl} renders a capture as one JSON document per line,
+    several times the size of the binary file.
 
     Attaching first spills the machine's current ring contents, then
     streams every subsequent event through a watcher — so attaching at
     creation captures everything regardless of ring wrap, and a mid-run
-    attach captures the retained tail plus the whole future.
-
-    {b Binary captures.} A path ending in [.ftrace] (or an explicit
-    [~format:`Binary]) selects the compact {!Codec} binary format
-    instead of JSONL: same header/records/trailer structure, one
-    length-prefixed frame per event, ~8x smaller. {!Replay.load}
-    auto-detects either format, so downstream tooling is unaffected. *)
+    attach captures the retained tail plus the whole future. *)
 
 type t
 
-(** The trace format version written in the header line. *)
-val format_version : int
-
-(** The path suffix that selects the binary format by default. *)
-val binary_suffix : string
-
-(** [create ~path ()] opens [path] and writes the versioned header.
-    [format] overrides the suffix-based format choice. *)
-val create :
-  ?meta:(string * Json.t) list ->
-  ?format:[ `Jsonl | `Binary ] ->
-  path:string ->
-  unit ->
-  t
+(** [create ~path ()] opens [path] and writes the header and the
+    metadata frame. *)
+val create : ?meta:(string * Json.t) list -> path:string -> unit -> t
 
 (** [attach t obs] spills [obs]'s retained ring, then streams its
     future events (registers a watcher, making {!Obs.tracing} true).

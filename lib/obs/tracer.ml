@@ -74,10 +74,3 @@ let chrome_events ?(pid = 0) ?process_name t =
     | None -> Fmt.str "flipc machine %d" pid
   in
   chrome_metadata ~pid ~process_name nodes @ events
-
-let chrome_json ?pid t =
-  Json.Obj
-    [
-      ("traceEvents", Json.List (chrome_events ?pid ?process_name:None t));
-      ("displayTimeUnit", Json.String "ns");
-    ]

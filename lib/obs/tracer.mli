@@ -1,6 +1,6 @@
 (** Bounded typed-event trace with Chrome [trace_event] export.
 
-    Replaces ad-hoc string traces on the message path: components emit
+    The in-memory record of every message's path: components emit
     {!Event.t} values stamped with virtual time into a fixed-capacity
     drop-oldest ring ({!Ring}), so tracing a week-long soak costs bounded
     memory and reports how many early events it shed ({!dropped}).
@@ -38,11 +38,7 @@ val clear : t -> unit
 val pp : Format.formatter -> t -> unit
 
 (** Chrome [trace_event] array entries (metadata + instant events),
-    suitable for merging several tracers into one file. [pid]
+    for {!Causal.chrome_json_of} to merge into one document. [pid]
     distinguishes machines (default 0); nodes map to thread rows.
     [process_name] overrides the "flipc machine <pid>" metadata row. *)
 val chrome_events : ?pid:int -> ?process_name:string -> t -> Json.t list
-
-(** A complete [{"traceEvents": [...]}] document for chrome://tracing
-    or Perfetto. *)
-val chrome_json : ?pid:int -> t -> Json.t

@@ -39,14 +39,37 @@ if command -v python3 >/dev/null 2>&1; then
 import json, sys
 doc = json.load(open('$obs_tmp/metrics.json'))
 assert doc['metrics'], 'empty metrics snapshot'
-assert doc['latency']['total']['count'] > 0, 'empty latency breakdown'
+lat = doc['latency']
+for stage in ('send', 'wire', 'queue', 'recv', 'total'):
+    assert lat[stage]['count'] > 0, f'latency stage {stage} has no samples'
+assert lat['unmatched'] == 0, 'lossless run left latency events unmatched'
 trace = json.load(open('$obs_tmp/trace.json'))
 assert trace['traceEvents'], 'empty chrome trace'
 "
 else
   # No python3: at least require non-empty output of the right shape.
   grep -q '"metrics":{' "$obs_tmp/metrics.json"
+  grep -q '"unmatched":0,' "$obs_tmp/metrics.json"
   grep -q '"traceEvents":\[' "$obs_tmp/trace.json"
+fi
+# The engines' event timeline: `flipc trace` prints its two-node demo as
+# JSON lines (header, one record per typed event, trailer); every line
+# must parse, and the engine's transmit, deposit and park transitions
+# must be in it.
+dune exec bin/flipc_cli.exe -- trace >"$obs_tmp/trace.jsonl"
+if command -v python3 >/dev/null 2>&1; then
+  python3 -c "
+import json
+kinds = set()
+for line in open('$obs_tmp/trace.jsonl'):
+    kinds.add(json.loads(line).get('k'))
+for k in ('engine_tx', 'deposit', 'engine_park'):
+    assert k in kinds, f'flipc trace printed no {k} record'
+"
+else
+  for k in engine_tx deposit engine_park; do
+    grep -q "\"k\":\"$k\"" "$obs_tmp/trace.jsonl"
+  done
 fi
 
 echo "== perfbench virtual pin =="
@@ -161,47 +184,40 @@ echo "== doctor gate =="
 # reach causal tracing. Then the formerly hanging soak seed is pinned:
 # QCHECK_SEED=12 used to spin forever in a raw-channel receive loop
 # after an optimistic discard (see DESIGN.md §13); over Window_layer
-# flow control and watchdogs it must pass, not hang. The live run
-# streams its flight data to a capture
-# file, and an offline replay of that file must re-derive the exact
-# same report — byte-for-byte — or the black-box debugging story is
-# broken.
-dune exec bin/flipc_cli.exe -- doctor --assert-clean --json \
-  --capture "$obs_tmp/doctor.trace" >"$obs_tmp/doctor.json"
-dune exec bin/flipc_cli.exe -- doctor --assert-clean --json \
-  --replay "$obs_tmp/doctor.trace" >"$obs_tmp/doctor_replay.json"
-cmp "$obs_tmp/doctor.json" "$obs_tmp/doctor_replay.json" || {
-  echo "doctor replay diverged from the live report" >&2
-  exit 1
-}
-# Same scenario through the binary flight recorder (.ftrace selects the
-# compact codec): the replayed report must again be byte-for-byte the
-# live one, and the binary capture must honour the >= 4x size contract.
-dune exec bin/flipc_cli.exe -- doctor --assert-clean --json \
-  --capture "$obs_tmp/doctor.ftrace" >"$obs_tmp/doctor_bin.json"
-dune exec bin/flipc_cli.exe -- doctor --assert-clean --json \
-  --replay "$obs_tmp/doctor.ftrace" >"$obs_tmp/doctor_bin_replay.json"
-cmp "$obs_tmp/doctor_bin.json" "$obs_tmp/doctor_bin_replay.json" || {
-  echo "binary-capture replay diverged from the live report" >&2
-  exit 1
-}
-jsonl_bytes=$(wc -c <"$obs_tmp/doctor.trace")
-binary_bytes=$(wc -c <"$obs_tmp/doctor.ftrace")
+# flow control and watchdogs it must pass, not hang. The seed-7 run is
+# captured twice to the binary flight recorder: an offline replay of
+# each capture must re-derive the exact same report — byte-for-byte —
+# or the black-box debugging story is broken.
+for run in a b; do
+  dune exec bin/flipc_cli.exe -- doctor --assert-clean --json \
+    --capture "$obs_tmp/doctor_$run.ftrace" >"$obs_tmp/doctor_$run.json"
+  dune exec bin/flipc_cli.exe -- doctor --assert-clean --json \
+    --replay "$obs_tmp/doctor_$run.ftrace" >"$obs_tmp/doctor_${run}_replay.json"
+  cmp "$obs_tmp/doctor_$run.json" "$obs_tmp/doctor_${run}_replay.json" || {
+    echo "doctor replay of capture $run diverged from the live report" >&2
+    exit 1
+  }
+done
+# The capture must honour the >= 4x size contract against its JSON-lines
+# rendering (flipc trace --replay).
+dune exec bin/flipc_cli.exe -- trace --replay "$obs_tmp/doctor_a.ftrace" \
+  >"$obs_tmp/doctor_a.jsonl"
+jsonl_bytes=$(wc -c <"$obs_tmp/doctor_a.jsonl")
+binary_bytes=$(wc -c <"$obs_tmp/doctor_a.ftrace")
 [ $((4 * binary_bytes)) -le "$jsonl_bytes" ] || {
   echo "binary capture not 4x smaller: $binary_bytes vs $jsonl_bytes bytes" >&2
   exit 1
 }
-# Cross-run diffing: a capture diffed against itself must report zero
-# regressions under --assert-clean (mixed formats on purpose — the two
-# sides replay through different codecs into the same report).
+# Cross-run diffing: the two captures of the same seeded run must
+# report zero regressions under --assert-clean.
 dune exec bin/flipc_cli.exe -- doctor --assert-clean --json \
-  --replay "$obs_tmp/doctor.ftrace" --against "$obs_tmp/doctor.trace" \
+  --replay "$obs_tmp/doctor_b.ftrace" --against "$obs_tmp/doctor_a.ftrace" \
   >"$obs_tmp/doctor_diff.json"
 QCHECK_SEED=12 dune exec test/test_soak.exe >/dev/null
 if command -v python3 >/dev/null 2>&1; then
   python3 -c "
 import json
-doc = json.load(open('$obs_tmp/doctor.json'))
+doc = json.load(open('$obs_tmp/doctor_a.json'))
 assert doc['clean'], 'doctor reported an unclean run'
 assert doc['delivered'] == doc['expected'], 'doctor lost messages'
 assert doc['monitor_violations'] == 0, 'invariant monitor fired'
@@ -214,8 +230,8 @@ assert diff['violations_added'] == 0, 'self-diff invented a regression'
 assert diff['sites'], 'cross-run diff aligned no message sites'
 "
 else
-  grep -q '"clean":true' "$obs_tmp/doctor.json"
-  ! grep -q '"retransmitted_frames":0,' "$obs_tmp/doctor.json"
+  grep -q '"clean":true' "$obs_tmp/doctor_a.json"
+  ! grep -q '"retransmitted_frames":0,' "$obs_tmp/doctor_a.json"
   grep -q '"violations_added":0' "$obs_tmp/doctor_diff.json"
 fi
 

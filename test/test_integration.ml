@@ -759,12 +759,12 @@ let test_api_attachment_caching () =
   check_bool "distinct ports" true (not (Api.port a0 == Api.port a1));
   check_bool "shared comm buffer" true (Api.comm a0 == Api.comm a1)
 
-(* Engine tracing records the message lifecycle. *)
+(* The machine's typed tracer records the engine's side of the
+   message lifecycle. *)
 let test_engine_trace () =
   let machine = mesh2 () in
-  let tr = Flipc_sim.Trace.create ~enabled:true () in
-  Msg_engine.set_trace (Machine.msg_engine (Machine.node machine 0)) tr;
-  Msg_engine.set_trace (Machine.msg_engine (Machine.node machine 1)) tr;
+  let tracer = Flipc_obs.Obs.tracer (Machine.obs machine) in
+  Flipc_obs.Tracer.enable tracer;
   let addr_box = Mailbox.create () in
   Machine.spawn_app machine ~node:1 (fun api ->
       let ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
@@ -776,18 +776,17 @@ let test_engine_trace () =
       Api.connect api ep (Mailbox.take addr_box);
       ok (Api.send api ep (ok (Api.allocate_buffer api))));
   finish machine;
-  let entries = Flipc_sim.Trace.to_list tr in
-  let has prefix =
+  let has p =
     List.exists
-      (fun (e : Flipc_sim.Trace.entry) ->
-        String.length e.Flipc_sim.Trace.message >= String.length prefix
-        && String.sub e.Flipc_sim.Trace.message 0 (String.length prefix)
-           = prefix)
-      entries
+      (fun (e : Flipc_obs.Tracer.entry) -> p e.Flipc_obs.Tracer.ev)
+      (Flipc_obs.Tracer.to_list tracer)
   in
-  check_bool "transmit traced" true (has "transmit");
-  check_bool "deposit traced" true (has "deposit");
-  check_bool "park traced" true (has "park")
+  check_bool "transmit traced" true
+    (has (function Flipc_obs.Event.Engine_tx _ -> true | _ -> false));
+  check_bool "deposit traced" true
+    (has (function Flipc_obs.Event.Deposit _ -> true | _ -> false));
+  check_bool "park traced" true
+    (has (function Flipc_obs.Event.Engine_park _ -> true | _ -> false))
 
 let () =
   Alcotest.run "integration"

@@ -5,7 +5,6 @@ module Heap = Flipc_sim.Heap
 module Engine = Flipc_sim.Engine
 module Sync = Flipc_sim.Sync
 module Prng = Flipc_sim.Prng
-module Trace = Flipc_sim.Trace
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -629,26 +628,6 @@ let test_prng_split_independent () =
   check_bool "split differs from parent" true
     (Prng.next_int64 a <> Prng.next_int64 b)
 
-(* --- Trace --- *)
-
-let test_trace_disabled_by_default () =
-  let tr = Trace.create () in
-  Trace.record tr ~now:5 ~tag:"x" "hello";
-  check "nothing recorded" 0 (Trace.length tr)
-
-let test_trace_records () =
-  let tr = Trace.create ~enabled:true () in
-  Trace.record tr ~now:5 ~tag:"x" "hello";
-  Trace.recordf tr ~now:6 ~tag:"y" "n=%d" 3;
-  check "two entries" 2 (Trace.length tr);
-  (match Trace.to_list tr with
-  | [ a; b ] ->
-      Alcotest.(check string) "msg" "hello" a.Trace.message;
-      Alcotest.(check string) "fmt msg" "n=3" b.Trace.message
-  | _ -> Alcotest.fail "expected two");
-  Trace.clear tr;
-  check "cleared" 0 (Trace.length tr)
-
 let () =
   Alcotest.run "sim"
     [
@@ -707,10 +686,5 @@ let () =
             test_prng_exponential_mean;
           Alcotest.test_case "split independent" `Quick
             test_prng_split_independent;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "disabled" `Quick test_trace_disabled_by_default;
-          Alcotest.test_case "records" `Quick test_trace_records;
         ] );
     ]
