@@ -223,8 +223,8 @@ let transient () =
   Fmt.pr
     "paper: small exchange counts are ~3us faster than steady state (cold@.\
      caches see plain misses where the steady state pays dirty-line@.\
-     transfers); the reproduction shows the same sign with a smaller@.\
-     magnitude — see EXPERIMENTS.md.@.@."
+     transfers); under the doorbell engine the reproduction measures@.\
+     +0.55us at 4 exchanges, the opposite sign — see EXPERIMENTS.md.@.@."
 
 (* ------------------------------------------------------------------ *)
 (* PAM-SMALL: very small messages, where PAM wins.                     *)

@@ -6,7 +6,7 @@ open Effect.Deep
 type t = {
   mutable now : int;
   mutable limit : int;  (* the running [run]'s [~until]; [min_int] when idle *)
-  mutable wake : int;  (* set by an effect handler for its [park] closure *)
+  mutable wake : int;  (* the wake time of the start or delay being parked *)
   queue : (unit, unit) continuation Heap.t;
   mutable live : int;
   mutable steps : int;
@@ -24,7 +24,7 @@ let () =
 
 type _ Effect.t +=
   | Start : int -> unit Effect.t
-  | Delay : int -> unit Effect.t
+  | Park : unit Effect.t
   | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
 
 let create () =
@@ -42,10 +42,10 @@ let now t = t.now
 let steps t = t.steps
 let live_processes t = t.live
 
-(* The engine whose [run] is executing on this domain, or [idle]. Domain
-   local because each domain may run its own engine at once. *)
-let idle = create ()
-let current = Domain.DLS.new_key (fun () -> idle)
+(* The engine whose [run] is executing on this domain, or an idle engine
+   of the domain's own. Domain local because each domain may run its own
+   engine at once. *)
+let current = Domain.DLS.new_key create
 
 let resumer t k =
   let resumed = ref false in
@@ -56,9 +56,29 @@ let resumer t k =
     end
 
 let handler t name =
-  (* Allocated once per process: a start or delay stores its wake time in
-     [t.wake] and returns this, so parking allocates no closure. *)
+  (* Allocated once per process, reading the wake time from [t.wake], so
+     parking allocates no closure. *)
   let park = Some (fun k -> Heap.push t.queue t.wake k) in
+  (* A delay that cannot return in place ends the caller's turn. When the
+     next event is queued and within the run, it is what [loop] would pop
+     once the caller parked: swap the caller in for it and continue it
+     here, one stack switch instead of two. [replace_top] gives the caller
+     the push number [push] would, so [now], [steps] and every tie come
+     out as park-then-pop gives them. The [continue] is a tail call, so a
+     chain of handoffs runs in constant stack, and whatever ends it (an
+     exit, a failure, a suspension, the run's limit) returns to [loop]. *)
+  let switch =
+    Some
+      (fun k ->
+        let q = t.queue in
+        if Heap.is_empty q || Heap.min_key q > Int.min t.wake t.limit then
+          Heap.push q t.wake k
+        else begin
+          t.now <- Heap.min_key q;
+          t.steps <- t.steps + 1;
+          continue (Heap.replace_top q t.wake k) ()
+        end)
+  in
   {
     retc = (fun () -> t.live <- t.live - 1);
     exnc =
@@ -72,13 +92,7 @@ let handler t name =
         | Start time ->
             t.wake <- time;
             park
-        | Delay d when d >= 0 ->
-            t.wake <- t.now + d;
-            park
-        | Delay _ ->
-            Some
-              (fun k ->
-                discontinue k (Invalid_argument "Engine.delay: negative"))
+        | Park -> switch
         | Suspend register -> Some (fun k -> register (resumer t k))
         | _ -> None);
   }
@@ -130,7 +144,7 @@ let run ?until t =
 (* When nothing is queued at or before the wake time (and the run goes
    that far), the slow path would push the caller and pop it straight
    back: same order, same [now], one step. Do that in place. Outside any
-   run [current] is [idle], whose limit refuses, so the effect goes
+   run [current] is idle, whose limit refuses, so the effect goes
    unhandled as before. *)
 let delay d =
   let t = Domain.DLS.get current in
@@ -142,7 +156,11 @@ let delay d =
     t.now <- wake;
     t.steps <- t.steps + 1
   end
-  else Effect.perform (Delay d)
+  else if d < 0 then invalid_arg "Engine.delay: negative"
+  else begin
+    t.wake <- wake;
+    Effect.perform Park
+  end
 
 let yield () = delay 0
 let suspend register = Effect.perform (Suspend register)

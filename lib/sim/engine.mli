@@ -45,15 +45,19 @@ exception Process_failure of string * exn
 (** {1 Operations available inside a process} *)
 
 (** [delay d] suspends the calling process for [d] virtual nanoseconds.
-    Raises [Effect.Unhandled] if called outside a process.
+    Raises [Invalid_argument] if [d] is negative, and [Effect.Unhandled]
+    if called outside a process.
 
-    When the caller is provably the next to run — [d >= 0], [now + d] is
-    within the current [run ~until], and nothing is queued at or before
-    [now + d] — [delay] returns in place: it advances [now] and counts one
-    step, exactly as parking and being popped straight back would, so the
-    event order, [now] and [steps] are the same either way. The running
-    engine is found through a domain-local slot that [run] sets and
-    restores. *)
+    When the caller is provably the next to run — [now + d] is within the
+    current [run ~until], and nothing is queued at or before [now + d] —
+    [delay] returns in place: it advances [now] and counts one step.
+    Otherwise the caller parks, and when the next event is queued within
+    the run, the caller's handler continues that event's process itself,
+    without returning to the run loop: one stack switch per change of
+    process. Either way the event order, [now] and [steps] are exactly
+    those of parking the caller and popping the earliest event. The
+    running engine is found through a domain-local slot that [run] sets
+    and restores. *)
 val delay : Vtime.t -> unit
 
 (** [yield ()] is [delay Vtime.zero]: lets other events at the same time

@@ -90,6 +90,19 @@ let pop h =
   end;
   top
 
+(* The new entry takes the root's place and sinks: one sift where [pop]
+   then [push] would take two. *)
+let replace_top h key v =
+  if h.size = 0 then invalid_arg "Heap.replace_top: empty";
+  let top = h.vals.(0) in
+  let seq = h.next_seq in
+  h.next_seq <- seq + 1;
+  let i = hole_down h ~key ~seq 0 in
+  h.keys.(i) <- key;
+  h.seqs.(i) <- seq;
+  h.vals.(i) <- v;
+  top
+
 let clear h =
   h.keys <- [||];
   h.seqs <- [||];

@@ -29,4 +29,10 @@ val min_key : 'v t -> int
     empty. *)
 val pop : 'v t -> 'v
 
+(** [replace_top h key v] is [pop h] followed by [push h key v], done in one
+    sift: it returns the value [pop] would, and [v] goes after every entry
+    queued under [key], as a push would put it. Raises [Invalid_argument]
+    if [h] is empty. *)
+val replace_top : 'v t -> int -> 'v -> 'v
+
 val clear : 'v t -> unit

@@ -38,8 +38,14 @@ let seq_of_payload b = Int64.to_int (Bytes.get_int64_le b 0)
 (* One sender streams [total] numbered messages to one receiver using
    the burst interface sized by the config knobs; the receiver drains
    with [receive_burst] and records the sequence numbers it saw. Returns
-   (received sequence, receiver-side engine drops, monitor). *)
-let run_numbered ~config ?fault ~total () =
+   (received sequence, receiver-side engine drops, sent, monitor).
+
+   The raw path has no end-to-end flow control: the sender can keep
+   [qcap + burst] messages in flight and a slow receiver can fall a whole
+   ring behind, so the receive engine may drop. With [~credit] the
+   harness holds the sender to at most [qcap] messages sent but not yet
+   reposted by the receiver, so every arrival finds a posted buffer. *)
+let run_numbered ~config ?fault ?(credit = false) ~total () =
   let machine =
     match fault with
     | Some fault ->
@@ -53,7 +59,7 @@ let run_numbered ~config ?fault ~total () =
   let received = ref [] in
   let drops = ref 0 in
   let deadline = Flipc_sim.Vtime.ms 30 in
-  let sent = ref 0 in
+  let sent = ref 0 and reposted = ref 0 in
   Machine.spawn_app ~name:"rx" machine ~node:1 (fun api ->
       let ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
       for _ = 1 to qcap do
@@ -71,7 +77,8 @@ let run_numbered ~config ?fault ~total () =
             received := seq_of_payload (Api.read_payload api out.(i) 8)
                         :: !received
           done;
-          ignore (ok (Api.post_receive_burst api ep (Array.sub out 0 n)))
+          reposted :=
+            !reposted + ok (Api.post_receive_burst api ep (Array.sub out 0 n))
         end;
         drops := !drops + Api.drops_read_and_reset api ep
       done);
@@ -87,7 +94,12 @@ let run_numbered ~config ?fault ~total () =
       let stage = Array.make burst (Queue.peek free) in
       while !next < total && Sim.now sim < deadline do
         let n = ref 0 in
-        while !n < burst && !next + !n < total && not (Queue.is_empty free) do
+        while
+          !n < burst
+          && !next + !n < total
+          && (not (Queue.is_empty free))
+          && ((not credit) || !sent + !n - !reposted < qcap)
+        do
           let b = Queue.pop free in
           Api.write_payload api b (seq_payload (!next + !n));
           stage.(!n) <- b;
@@ -122,36 +134,53 @@ let batch_gen =
 let batch_print (tx, s, r) =
   Printf.sprintf "tx_batch=%d send_burst=%d recv_burst=%d" tx s r
 
-(* Fault-free: every batch-size combination must deliver every message
-   exactly once, in order, with clean monitors — byte-identical
-   semantics to the singleton path. *)
+(* Fault-free, with the sender credited from the receiver's reposts:
+   every batch-size combination must deliver every message exactly once,
+   in order, with no engine drop and clean monitors — byte-identical
+   semantics to the singleton path. Returns the first violation. *)
+let batched_fifo_failure (tx_batch, send_burst, recv_burst) =
+  let config =
+    {
+      Config.default with
+      Config.engine_tx_batch = tx_batch;
+      app_send_burst = send_burst;
+      app_recv_burst = recv_burst;
+    }
+  in
+  let total = 40 in
+  let received, drops, sent, mon =
+    run_numbered ~config ~credit:true ~total ()
+  in
+  if sent <> total then Some (Printf.sprintf "sent %d of %d" sent total)
+  else if drops <> 0 then
+    Some (Printf.sprintf "unexpected engine drops: %d" drops)
+  else if received <> List.init total Fun.id then
+    Some
+      (Printf.sprintf "out of order or lost: got %d msgs, FIFO %b"
+         (List.length received)
+         (List.sort compare received = received))
+  else if not (Monitor.clean mon) then
+    Some (Fmt.str "monitor violations:@ %a" Monitor.pp_report mon)
+  else None
+
 let batched_fifo_prop =
   QCheck.Test.make ~name:"batched path: FIFO & conservation, any batch size"
     ~count:20
     (QCheck.make ~print:batch_print batch_gen)
-    (fun (tx_batch, send_burst, recv_burst) ->
-      let config =
-        {
-          Config.default with
-          Config.engine_tx_batch = tx_batch;
-          app_send_burst = send_burst;
-          app_recv_burst = recv_burst;
-        }
-      in
-      let total = 40 in
-      let received, drops, sent, mon = run_numbered ~config ~total () in
-      if sent <> total then
-        QCheck.Test.fail_reportf "sent %d of %d" sent total;
-      if drops <> 0 then
-        QCheck.Test.fail_reportf "unexpected engine drops: %d" drops;
-      if received <> List.init total Fun.id then
-        QCheck.Test.fail_reportf "out of order or lost: got %d msgs, FIFO %b"
-          (List.length received)
-          (List.sort compare received = received);
-      if not (Monitor.clean mon) then
-        QCheck.Test.fail_reportf "monitor violations:@ %a" Monitor.pp_report
-          mon;
-      true)
+    (fun batch ->
+      match batched_fifo_failure batch with
+      | None -> true
+      | Some why -> QCheck.Test.fail_report why)
+
+(* The triples that overran the receive ring by one drop before the
+   sender was credited. *)
+let test_batched_fifo_pinned () =
+  List.iter
+    (fun batch ->
+      Option.iter
+        (fun why -> Alcotest.failf "%s: %s" (batch_print batch) why)
+        (batched_fifo_failure batch))
+    [ (5, 7, 1); (8, 4, 1) ]
 
 (* Under drop faults the raw path may lose messages in the fabric, but
    whatever arrives must still be a FIFO subsequence of what was sent
@@ -427,6 +456,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest batched_fifo_prop;
           QCheck_alcotest.to_alcotest faulted_batch_prop;
+          Alcotest.test_case "batched path: overrun triples pinned" `Quick
+            test_batched_fifo_pinned;
         ] );
       ( "doorbell",
         [

@@ -63,12 +63,30 @@ let test_heap_grow () =
   Alcotest.check_raises "pop empty" (Invalid_argument "Heap.pop: empty")
     (fun () -> ignore (Heap.pop h : int))
 
-(* [Some k] pushes key [k] and [None] pops. Every pop must return the head
-   of the queued (key, push index) pairs stably sorted by key, so equal
-   keys leave in push order. *)
+(* [Push k] pushes key [k], [Pop] pops and [Replace k] swaps the top out
+   for key [k] with [replace_top]. Every pop or replace must return the
+   head of the queued (key, push index) pairs stably sorted by key, so
+   equal keys leave in push order; a replace queues its entry as a push
+   would. *)
+type heap_op = Push of int | Pop | Replace of int
+
 let heap_stable_prop =
   QCheck.Test.make ~name:"heap pops in stable order" ~count:300
-    QCheck.(list_of_size Gen.(int_range 0 300) (option (int_range (-4) 4)))
+    QCheck.(
+      make
+        ~print:
+          (Print.list (function
+            | Push k -> Printf.sprintf "push %d" k
+            | Pop -> "pop"
+            | Replace k -> Printf.sprintf "replace %d" k))
+        Gen.(
+          list_size (int_range 0 300)
+            (frequency
+               [
+                 (6, map (fun k -> Push k) (int_range (-4) 4));
+                 (1, return Pop);
+                 (2, map (fun k -> Replace k) (int_range (-4) 4));
+               ])))
     (fun ops ->
       let h = Heap.create () in
       let sorted queued =
@@ -76,16 +94,22 @@ let heap_stable_prop =
       in
       let rec go pushed queued = function
         | [] -> drain h = sorted queued
-        | Some k :: rest ->
+        | Push k :: rest ->
             Heap.push h k (k, pushed);
             go (pushed + 1) (queued @ [ (k, pushed) ]) rest
-        | None :: rest -> (
-            match sorted queued with
-            | [] -> Heap.is_empty h && go pushed queued rest
-            | first :: _ ->
-                Heap.min_key h = fst first
-                && Heap.pop h = first
-                && go pushed (List.filter (( <> ) first) queued) rest)
+        | (Pop | Replace _) :: rest when queued = [] ->
+            Heap.is_empty h && go pushed queued rest
+        | Pop :: rest ->
+            let first = List.hd (sorted queued) in
+            Heap.min_key h = fst first
+            && Heap.pop h = first
+            && go pushed (List.filter (( <> ) first) queued) rest
+        | Replace k :: rest ->
+            let first = List.hd (sorted queued) in
+            Heap.replace_top h k (k, pushed) = first
+            && go (pushed + 1)
+                 (List.filter (( <> ) first) queued @ [ (k, pushed) ])
+                 rest
       in
       go 0 [] ops)
 
@@ -317,6 +341,54 @@ let test_fast_delay_allocation_free () =
     (Printf.sprintf "10k fast delays allocated %.0f words" !words)
     true (!words < 10.)
 
+(* Two processes that each delay by one in lockstep are never next on
+   their own: every delay hands the turn to the other. A handoff
+   allocates the parked continuation, 2 words, and nothing else: no
+   effect payload, no closure, no heap entry. The bound leaves room for
+   the boxed floats of the measurement itself. *)
+let test_handoff_delay_allocation () =
+  let t = Engine.create () in
+  let words = ref nan and switches = ref 0 in
+  let lockstep () =
+    for _ = 1 to 10_000 do
+      Engine.delay 1
+    done
+  in
+  Engine.spawn t (fun () ->
+      Engine.delay 1;
+      let before = Gc.minor_words () and steps = Engine.steps t in
+      lockstep ();
+      words := Gc.minor_words () -. before;
+      switches := Engine.steps t - steps);
+  Engine.spawn t (fun () ->
+      Engine.delay 1;
+      lockstep ());
+  Engine.run t;
+  check "every delay a switch" 20_000 !switches;
+  check_bool
+    (Printf.sprintf "%d handed-off delays allocated %.0f words" !switches
+       !words)
+    true
+    (!words < (2. *. float_of_int !switches) +. 10.)
+
+(* A handoff continues the next process from inside the parker's effect
+   handler, so it must be a tail call: a million switches in a 16k-word
+   stack. *)
+let test_handoff_constant_stack () =
+  let t = Engine.create () in
+  let lockstep () =
+    for _ = 1 to 500_000 do
+      Engine.delay 1
+    done
+  in
+  Engine.spawn t lockstep;
+  Engine.spawn t lockstep;
+  let saved = Gc.get () in
+  Gc.set { saved with stack_limit = 16_384 };
+  Fun.protect ~finally:(fun () -> Gc.set saved) (fun () -> Engine.run t);
+  check "steps" 1_000_002 (Engine.steps t);
+  check "now" 500_000 (Engine.now t)
+
 (* --- Engine against a reference scheduler --- *)
 
 (* The engine's earlier design, kept as the reference: a queue of thunks
@@ -349,10 +421,10 @@ module Reference = struct
     t.seq <- t.seq + 1;
     t.queue <- Q.add (time, t.seq) thunk t.queue
 
-  let handler t =
+  let handler t name =
     {
       retc = Fun.id;
-      exnc = raise;
+      exnc = (fun e -> raise (Engine.Process_failure (name, e)));
       effc =
         (fun (type b) (eff : b Effect.t) ->
           match eff with
@@ -372,8 +444,10 @@ module Reference = struct
           | _ -> None);
     }
 
-  let spawn_at t time f = schedule t time (fun () -> match_with f () (handler t))
-  let spawn t f = spawn_at t t.now f
+  let spawn_at ?(name = "process") t time f =
+    schedule t time (fun () -> match_with f () (handler t name))
+
+  let spawn ?name t f = spawn_at ?name t t.now f
 
   let rec run ?(until = max_int) t =
     match Q.min_binding_opt t.queue with
@@ -404,8 +478,8 @@ module type SIM = sig
   val create : unit -> t
   val now : t -> int
   val steps : t -> int
-  val spawn : t -> (unit -> unit) -> unit
-  val spawn_at : t -> int -> (unit -> unit) -> unit
+  val spawn : ?name:string -> t -> (unit -> unit) -> unit
+  val spawn_at : ?name:string -> t -> int -> (unit -> unit) -> unit
   val run : ?until:int -> t -> unit
   val delay : int -> unit
 
@@ -420,16 +494,13 @@ end
 
 module Under_test : SIM = struct
   include Engine
-
-  let spawn t f = spawn t f
-  let spawn_at t time f = spawn_at t time f
-
   module Condvar = Sync.Condvar
 end
 
 type action =
   | Delay of int
   | Log
+  | Raise
   | Spawn of action list
   | Spawn_at of int * action list
   | Wait of int
@@ -440,6 +511,7 @@ type script = { procs : (int * action list) list; splits : int list }
 let rec pp_action = function
   | Delay d -> Printf.sprintf "delay %d" d
   | Log -> "log"
+  | Raise -> "raise"
   | Spawn body -> Printf.sprintf "spawn [%s]" (pp_actions body)
   | Spawn_at (d, body) -> Printf.sprintf "spawn_at +%d [%s]" d (pp_actions body)
   | Wait c -> Printf.sprintf "wait %d" c
@@ -465,6 +537,7 @@ let gen_script =
             [
               (6, map (fun d -> Delay d) gen_delay);
               (2, return Log);
+              (1, return Raise);
               (1, map (fun c -> Wait c) (int_bound 1));
               (2, map (fun c -> Signal c) (int_bound 1));
             ]
@@ -488,8 +561,29 @@ let gen_script =
     (list_size (int_range 1 5) gen_proc)
     (list_size (int_range 0 3) (int_range 0 120))
 
+(* At least four processes doing little but delay by 0 to 3: nearly
+   every delay hands the turn to another process, in long chains. *)
+let gen_dense_script =
+  let open QCheck.Gen in
+  let action =
+    frequency
+      [
+        (16, map (fun d -> Delay d) (int_range 0 3));
+        (1, return Raise);
+        (1, map (fun c -> Wait c) (int_bound 1));
+        (2, map (fun c -> Signal c) (int_bound 1));
+      ]
+  in
+  map2
+    (fun procs splits -> { procs; splits = List.sort_uniq Int.compare splits })
+    (list_size (int_range 4 8)
+       (pair (int_range 0 3) (list_size (int_range 10 40) action)))
+    (list_size (int_range 0 3) (int_range 0 60))
+
 (* Run [script] and return its (time, process, label) log, with one entry
-   per split point carrying [steps], then the final [now] and [steps]. *)
+   per split point carrying [steps] and one per process failure carrying
+   the failure and [steps], then the final [now] and [steps]. A run that
+   raises is run again, up to the same limit. *)
 let interpret (module S : SIM) script =
   let t = S.create () in
   let log = ref [] in
@@ -500,10 +594,13 @@ let interpret (module S : SIM) script =
         (match action with
         | Delay d -> S.delay d
         | Log -> ()
-        | Spawn b -> S.spawn t (fun () -> exec (Printf.sprintf "%s.%d" pid i) b)
+        | Raise -> failwith "boom"
+        | Spawn b ->
+            let name = Printf.sprintf "%s.%d" pid i in
+            S.spawn ~name t (fun () -> exec name b)
         | Spawn_at (d, b) ->
-            S.spawn_at t (S.now t + d) (fun () ->
-                exec (Printf.sprintf "%s.%d" pid i) b)
+            let name = Printf.sprintf "%s.%d" pid i in
+            S.spawn_at ~name t (S.now t + d) (fun () -> exec name b)
         | Wait c -> S.Condvar.wait cvs.(c)
         | Signal c -> S.Condvar.signal cvs.(c));
         log := (S.now t, pid, i) :: !log)
@@ -511,23 +608,40 @@ let interpret (module S : SIM) script =
   in
   List.iteri
     (fun p (at, body) ->
-      let f () = exec (string_of_int p) body in
-      if at = 0 then S.spawn t f else S.spawn_at t at f)
+      let name = string_of_int p in
+      let f () = exec name body in
+      if at = 0 then S.spawn ~name t f else S.spawn_at ~name t at f)
     script.procs;
+  let rec run until =
+    match S.run ?until t with
+    | () -> ()
+    | exception Engine.Process_failure (name, e) ->
+        let what = Printf.sprintf "%s failed: %s" name (Printexc.to_string e) in
+        log := (S.now t, what, S.steps t) :: !log;
+        run until
+  in
   List.iter
     (fun until ->
-      S.run ~until t;
+      run (Some until);
       log := (S.now t, "run", S.steps t) :: !log)
     script.splits;
-  S.run t;
+  run None;
   (List.rev !log, S.now t, S.steps t)
+
+let matches_reference script =
+  interpret (module Under_test) script
+  = interpret (module Reference : SIM) script
 
 let engine_matches_reference_prop =
   QCheck.Test.make ~name:"engine matches the reference scheduler" ~count:500
     (QCheck.make ~print:pp_script gen_script)
-    (fun script ->
-      interpret (module Under_test) script
-      = interpret (module Reference : SIM) script)
+    matches_reference
+
+let engine_matches_reference_dense_prop =
+  QCheck.Test.make ~name:"engine matches the reference scheduler, dense mix"
+    ~count:300
+    (QCheck.make ~print:pp_script gen_dense_script)
+    matches_reference
 
 (* --- Sync --- *)
 
@@ -669,6 +783,11 @@ let () =
           Alcotest.test_case "fast delay allocation-free" `Quick
             test_fast_delay_allocation_free;
           QCheck_alcotest.to_alcotest engine_matches_reference_prop;
+          Alcotest.test_case "handed-off delay allocates its continuation only"
+            `Quick test_handoff_delay_allocation;
+          Alcotest.test_case "handoff chain in constant stack" `Quick
+            test_handoff_constant_stack;
+          QCheck_alcotest.to_alcotest engine_matches_reference_dense_prop;
         ] );
       ( "sync",
         [
