@@ -175,6 +175,27 @@ let probe_prefix t =
   if t.shard_count = 1 then Printf.sprintf "node%d.engine" t.node
   else Printf.sprintf "node%d.engine.s%02d" t.node t.shard
 
+let counters =
+  [
+    ("iterations", fun s -> s.iterations);
+    ("sends", fun s -> s.sends);
+    ("recvs", fun s -> s.recvs);
+    ("drops", fun s -> s.drops);
+    ("rejects", fun s -> s.rejects);
+    ("unroutable", fun s -> s.unroutable);
+    ("bad_dest", fun s -> s.bad_dest);
+    ("forbidden", fun s -> s.forbidden);
+    ("parks", fun s -> s.parks);
+    ("doorbell_hits", fun s -> s.doorbell_hits);
+    ("sched_rebuilds", fun s -> s.sched_rebuilds);
+    ("rx_truncations", fun s -> s.rx_truncations);
+    ("idle_scans_avoided", fun s -> s.idle_scans_avoided);
+    ("corrupt_frames", fun s -> s.corrupt_frames);
+  ]
+
+let stats_fields s =
+  List.map (fun (name, f) -> (name, Flipc_obs.Json.Int (f s))) counters
+
 let set_obs t obs =
   t.obs <- Some obs;
   let m = Obs.metrics obs in
@@ -184,20 +205,7 @@ let set_obs t obs =
       (Printf.sprintf "%s.%s" prefix name)
       (fun () -> float_of_int (f ()))
   in
-  probe "iterations" (fun () -> t.stats.iterations);
-  probe "sends" (fun () -> t.stats.sends);
-  probe "recvs" (fun () -> t.stats.recvs);
-  probe "drops" (fun () -> t.stats.drops);
-  probe "rejects" (fun () -> t.stats.rejects);
-  probe "unroutable" (fun () -> t.stats.unroutable);
-  probe "bad_dest" (fun () -> t.stats.bad_dest);
-  probe "forbidden" (fun () -> t.stats.forbidden);
-  probe "parks" (fun () -> t.stats.parks);
-  probe "doorbell_hits" (fun () -> t.stats.doorbell_hits);
-  probe "sched_rebuilds" (fun () -> t.stats.sched_rebuilds);
-  probe "rx_truncations" (fun () -> t.stats.rx_truncations);
-  probe "idle_scans_avoided" (fun () -> t.stats.idle_scans_avoided);
-  probe "corrupt_frames" (fun () -> t.stats.corrupt_frames)
+  List.iter (fun (name, f) -> probe name (fun () -> f t.stats)) counters
 
 let obs t = t.obs
 

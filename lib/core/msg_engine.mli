@@ -108,6 +108,11 @@ val owner_shard : count:int -> int -> int
 
 val stats : t -> stats
 
+(** Every {!stats} counter as a JSON field, in the order of the
+    [set_obs] probes: the one field list the probes and every report
+    use. *)
+val stats_fields : stats -> (string * Flipc_obs.Json.t) list
+
 (** [deliver t image] hands an arriving wire image to the engine (called by
     transport receive paths) and pokes it. *)
 val deliver : t -> Bytes.t -> unit

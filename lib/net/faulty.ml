@@ -79,6 +79,23 @@ let find_entry stats =
     (fun e -> match entry_key e with Some s -> s == stats | None -> false)
     !registry
 
+let tallies s =
+  [
+    ("dropped", s.dropped);
+    ("duplicated", s.duplicated);
+    ("reordered", s.reordered);
+    ("delayed", s.delayed);
+    ("corrupted", s.corrupted);
+    ("burst_dropped", s.burst_dropped);
+    ("ge_good_pkts", s.ge_good_pkts);
+    ("ge_bad_pkts", s.ge_bad_pkts);
+    ("ge_bursts", s.ge_bursts);
+  ]
+
+let stats_json s =
+  Flipc_obs.Json.Obj
+    (List.map (fun (k, v) -> (k, Flipc_obs.Json.Int v)) (tallies s))
+
 let stats_of (fabric : Fabric.t) =
   Option.map (fun e -> e.tally) (find_entry fabric.Fabric.stats)
 
@@ -186,19 +203,11 @@ let wrap ~engine ~config:c ?links ?obs (inner : Fabric.t) =
   (match obs with
   | Some o ->
       let m = Flipc_obs.Obs.metrics o in
-      let probe name f =
-        Flipc_obs.Metrics.probe m ("fabric.faults." ^ name) (fun () ->
-            float_of_int (f ()))
-      in
-      probe "dropped" (fun () -> stats.dropped);
-      probe "duplicated" (fun () -> stats.duplicated);
-      probe "reordered" (fun () -> stats.reordered);
-      probe "delayed" (fun () -> stats.delayed);
-      probe "corrupted" (fun () -> stats.corrupted);
-      probe "burst_dropped" (fun () -> stats.burst_dropped);
-      probe "ge_good_pkts" (fun () -> stats.ge_good_pkts);
-      probe "ge_bad_pkts" (fun () -> stats.ge_bad_pkts);
-      probe "ge_bursts" (fun () -> stats.ge_bursts)
+      List.iter
+        (fun (name, _) ->
+          Flipc_obs.Metrics.probe m ("fabric.faults." ^ name) (fun () ->
+              float_of_int (List.assoc name (tallies stats))))
+        (tallies stats)
   | None -> ());
   let base_lane = make_lane ~seed:c.seed c in
   (* Per-link override lanes, created on first use so the table only

@@ -107,6 +107,13 @@ type stats = {
   mutable ge_bursts : int;  (** good→bad transitions (burst count) *)
 }
 
+(** Every tally by name, in the order of the [fabric.faults.*] probes:
+    the one field list the probes, {!stats_json} and the reports use. *)
+val tallies : stats -> (string * int) list
+
+(** {!tallies} as a JSON object. *)
+val stats_json : stats -> Flipc_obs.Json.t
+
 (** [wrap ~engine ~config fabric] is a fabric with [fabric]'s name,
     node count and handler table, whose [send] injects faults. With
     [?links], per-(src,dst) override configs; with [?obs], the tally is

@@ -64,9 +64,10 @@ let to_string t =
   emit buf t;
   Buffer.contents buf
 
-let to_channel oc t =
-  output_string oc (to_string t);
-  output_char oc '\n'
+let to_file path t =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (to_string t);
+      output_char oc '\n')
 
 (* Recursive-descent parser, the inverse of [emit]. Numbers without a
    '.', 'e' or 'E' parse as [Int]; everything else as [Float]. *)

@@ -19,8 +19,9 @@ type t =
 (** Compact (single-line) rendering. *)
 val to_string : t -> string
 
-(** [to_channel oc t] writes the compact rendering plus a newline. *)
-val to_channel : out_channel -> t -> unit
+(** [to_file path t] writes the compact rendering plus a newline to
+    [path], replacing any previous contents. *)
+val to_file : string -> t -> unit
 
 (** [of_string s] parses one JSON document. Numeric literals without a
     fraction or exponent become [Int]; the rest become [Float]. *)

@@ -139,18 +139,21 @@ let pp_snapshot fmt snap =
                 s.Summary.p99 s.Summary.max))
     snap
 
-let summary_json (s : Summary.t) =
-  Json.Obj
-    [
-      ("n", Json.Int s.Summary.n);
-      ("mean", Json.Float s.Summary.mean);
-      ("stddev", Json.Float s.Summary.stddev);
-      ("min", Json.Float s.Summary.min);
-      ("max", Json.Float s.Summary.max);
-      ("p50", Json.Float s.Summary.p50);
-      ("p95", Json.Float s.Summary.p95);
-      ("p99", Json.Float s.Summary.p99);
-    ]
+let summary_fields ?(suffix = "") (s : Summary.t) =
+  ("n", Json.Int s.Summary.n)
+  :: List.map
+       (fun (k, v) -> (k ^ suffix, Json.Float v))
+       [
+         ("mean", s.Summary.mean);
+         ("stddev", s.Summary.stddev);
+         ("min", s.Summary.min);
+         ("max", s.Summary.max);
+         ("p50", s.Summary.p50);
+         ("p95", s.Summary.p95);
+         ("p99", s.Summary.p99);
+       ]
+
+let summary_json s = Json.Obj (summary_fields s)
 
 let snapshot_json snap =
   Json.Obj

@@ -81,5 +81,10 @@ val pp_snapshot : Format.formatter -> snapshot -> unit
 (** JSON object keyed by metric name (same sorted order). *)
 val snapshot_json : snapshot -> Json.t
 
-(** Reusable JSON rendering of a {!Flipc_stats.Summary.t}. *)
+(** The fields of a {!Flipc_stats.Summary.t}: [n], then [mean], [stddev],
+    [min], [max], [p50], [p95] and [p99], each name followed by [suffix]
+    (default none; the bench's latency summaries use ["_us"]). *)
+val summary_fields : ?suffix:string -> Flipc_stats.Summary.t -> (string * Json.t) list
+
+(** [summary_fields] as an object. *)
 val summary_json : Flipc_stats.Summary.t -> Json.t

@@ -79,6 +79,15 @@ val measure :
   unit ->
   result
 
+(** [sojourn_quantile r p] is the [p]-quantile of the sojourn sketch, in
+    us; 0 when nothing was delivered. *)
+val sojourn_quantile : result -> float -> float
+
+(** The result as one JSON object: every field, the sojourn sketch as its
+    p50/p99/p999, each engine as its node, shard and
+    {!Flipc.Msg_engine.stats_fields}. *)
+val result_json : result -> Flipc_obs.Json.t
+
 (** {1 Wall-clock mode (opt-in; real OCaml 5 domains)} *)
 
 type wall_result = {

@@ -59,11 +59,20 @@ type result = {
       (** the first expired watchdog's flight-recorder report *)
   monitor : Flipc_obs.Monitor.t;
   monitor_violations : int;
+  corrupt_frames_dropped : int;
+      (** arrivals the frame checksum discarded, summed over the nodes *)
   machine : Flipc.Machine.t;
       (** the drained machine: fault stats, engine counters, [Obs] *)
   clean : bool;
       (** all delivered, nothing corrupt, no stall, monitor clean *)
 }
+
+(** [retrans_config ?mode rto_ns] is the retransmission layer's default
+    config with initial timeout [rto_ns], backing off to [8 * rto_ns],
+    in [mode] (default selective repeat). {!run}'s default is
+    [retrans_config 200_000]. *)
+val retrans_config :
+  ?mode:Flipc_flow.Retrans_layer.mode -> int -> Flipc_flow.Retrans_layer.config
 
 (** [run ~kind ~messages ()] builds the machine (frame checksum on),
     runs the flows over the chosen [stack] to completion and returns
@@ -96,6 +105,45 @@ val run :
   ?payload_bytes:int ->
   ?flows:int ->
   kind:Flipc.Machine.fabric_kind ->
+  messages:int ->
+  unit ->
+  result
+
+(** The result as flat JSON fields: [expected], [delivered], every
+    counter, [corrupt_leaks], [corrupt_frames_dropped],
+    [transport_drops], [monitor_violations], [watchdogs_expired], the
+    wire [faults] ({!Flipc_net.Faulty.stats_json}, [null] on an unfaulted
+    fabric), [clean], and when anything was delivered the latency summary
+    ([n], [mean_us] ... [p99_us]). The one field list every report of a
+    flow uses. *)
+val result_fields : result -> (string * Flipc_obs.Json.t) list
+
+(** {1 Two-node fabrics} *)
+
+(** A two-node fabric for one reliable flow: its machine, its cost
+    model, an initial RTO above its round trip, and a reorder hold long
+    enough for later frames to overtake a held one. *)
+type fabric = {
+  kind : Flipc.Machine.fabric_kind;
+  cost : Flipc_memsim.Cost_model.t;
+  rto_ns : int;
+  reorder_hold_ns : int;
+}
+
+(** The two-node mesh (Paragon costs), Ethernet and SCSI (PC-cluster
+    costs) fabrics, by name. *)
+val two_node_fabrics : (string * fabric) list
+
+(** [two_node_flow ~fabric ~fault ~pace_ns ~payload_bytes ~messages ()]
+    runs one reliable flow from node 0 to node 1 of [fabric] over the
+    retransmission layer, with [retrans_config ?mode fabric.rto_ns] and a
+    2 s watchdog budget. *)
+val two_node_flow :
+  ?mode:Flipc_flow.Retrans_layer.mode ->
+  fabric:fabric ->
+  fault:Flipc_net.Faulty.config ->
+  pace_ns:int ->
+  payload_bytes:int ->
   messages:int ->
   unit ->
   result

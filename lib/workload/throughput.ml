@@ -23,6 +23,7 @@ let run ~machine ~node_a ~node_b ~payload_bytes ~messages ?(send_window = 8)
     ?(recv_depth = 8) () =
   let sim = Machine.sim machine in
   let config = Machine.config machine in
+  if messages < 1 then invalid_arg "Throughput.run: messages < 1";
   if payload_bytes > Config.payload_bytes config then
     invalid_arg "Throughput.run: payload exceeds configured message size";
   let ns = Machine.names machine in

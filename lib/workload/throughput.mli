@@ -16,6 +16,9 @@ type result = {
   drops : int;
 }
 
+(** [run ~machine ~node_a ~node_b ~payload_bytes ~messages ()] streams
+    [messages] from [node_a] to [node_b]. Raises [Invalid_argument] when
+    [messages < 1] or the payload exceeds the configured message size. *)
 val run :
   machine:Flipc.Machine.t ->
   node_a:int ->

@@ -147,6 +147,15 @@ let test_throughput_window_clamped () =
   check "all delivered" 50 r.Flipc_workload.Throughput.messages;
   check "no drops" 0 r.Flipc_workload.Throughput.drops
 
+let test_throughput_rejects_empty () =
+  (* An empty stream has no first send to time from: it must be refused,
+     not reported as a negative elapsed time. *)
+  Alcotest.check_raises "zero messages"
+    (Invalid_argument "Throughput.run: messages < 1") (fun () ->
+      ignore
+        (Flipc_workload.Throughput.measure ~payload_bytes:120 ~messages:0 ()
+          : Flipc_workload.Throughput.result))
+
 module Arrivals = Flipc_workload.Arrivals
 
 let test_arrivals_periodic () =
@@ -274,6 +283,8 @@ let () =
         [
           Alcotest.test_case "sane" `Quick test_throughput_sane;
           Alcotest.test_case "tiny ring" `Quick test_throughput_window_clamped;
+          Alcotest.test_case "rejects zero messages" `Quick
+            test_throughput_rejects_empty;
         ] );
       ( "rpc",
         [
