@@ -449,6 +449,53 @@ let test_shard_metric_names () =
       "node1.engine.s01.iterations";
     ]
 
+(* Wall-clock mode runs one independent machine per domain, so each
+   slice must be exactly the virtual run of its senders with its derived
+   seed, and the merged sketch must hold every slice's sojourns. *)
+let test_wallclock_slices () =
+  let w =
+    Firehose.measure_wallclock ~domains:2 ~senders:2 ~receivers:2
+      ~duration_us:300 ~mean_gap_ns:2_000 ~seed:11 ()
+  in
+  let engines r =
+    List.map
+      (fun (n, s, st) ->
+        Fmt.str "node%d.s%d %s" n s
+          (Flipc_obs.Json.to_string
+             (Flipc_obs.Json.Obj (Msg_engine.stats_fields st))))
+      r.Firehose.engines
+  in
+  let sojourns r = Flipc_obs.Sketch.count r.Firehose.sojourn_us in
+  List.iteri
+    (fun d (got : Firehose.result) ->
+      let want =
+        Firehose.measure ~senders:1 ~receivers:2 ~duration_us:300
+          ~mean_gap_ns:2_000
+          ~seed:(11 + (104_729 * d))
+          ()
+      in
+      let check_int what f =
+        Alcotest.(check int) (Fmt.str "domain %d %s" d what) (f want) (f got)
+      in
+      check_int "offered" (fun r -> r.Firehose.offered);
+      check_int "sent" (fun r -> r.Firehose.sent);
+      check_int "shed" (fun r -> r.Firehose.shed);
+      check_int "delivered" (fun r -> r.Firehose.delivered);
+      check_int "rx_drops" (fun r -> r.Firehose.rx_drops);
+      check_int "sojourn count" sojourns;
+      Alcotest.(check (float 0.))
+        (Fmt.str "domain %d elapsed_us" d)
+        want.Firehose.elapsed_us got.Firehose.elapsed_us;
+      Alcotest.(check (list string))
+        (Fmt.str "domain %d engines" d)
+        (engines want) (engines got))
+    w.Firehose.per_domain;
+  Alcotest.(check int) "two slices" 2 (List.length w.Firehose.per_domain);
+  Alcotest.(check int)
+    "merged sojourn count"
+    (List.fold_left (fun n r -> n + sojourns r) 0 w.Firehose.per_domain)
+    (Flipc_obs.Sketch.count w.Firehose.merged_sojourn_us)
+
 let () =
   Alcotest.run "firehose"
     [
@@ -470,5 +517,10 @@ let () =
             test_sharded_deterministic;
           Alcotest.test_case "probe names keyed by shard" `Quick
             test_shard_metric_names;
+        ] );
+      ( "wallclock",
+        [
+          Alcotest.test_case "each domain is its virtual slice" `Quick
+            test_wallclock_slices;
         ] );
     ]
