@@ -16,6 +16,17 @@ dune build @all
 echo "== tests =="
 dune runtest
 
+echo "== EXPERIMENTS.md tables =="
+# dune runtest has just diffed every deterministic experiment against its
+# pinned output (bench/expected/<id>.txt); every number in EXPERIMENTS.md's
+# tables must appear in the pinned output of its section's experiment, so
+# the paper tables cannot drift from what the bench prints.
+if command -v python3 >/dev/null 2>&1; then
+  python3 scripts/check_experiments.py
+else
+  echo "(python3 not installed: skipping the table check)"
+fi
+
 echo "== observability smoke =="
 # The obs suite runs under `dune runtest` too; run it by name so a
 # failure is attributed clearly, then validate the CLI's machine-readable
