@@ -140,3 +140,14 @@ let measure ?(config = Config.default) ?cost ?(cols = 4) ?(rows = 4)
   let machine = Machine.create ~config ?cost (Machine.Mesh { cols; rows }) () in
   run ?touch_payload ?warmup ~machine ~node_a ~node_b ~payload_bytes ~exchanges
     ()
+
+let result_fields r =
+  let module Json = Flipc_obs.Json in
+  [
+    ("payload_bytes", Json.Int r.payload_bytes);
+    ("message_bytes", Json.Int r.message_bytes);
+    ("exchanges", Json.Int r.exchanges);
+    ("aggregate_one_way_us", Json.Float r.aggregate_one_way_us);
+    ("drops", Json.Int r.drops);
+  ]
+  @ Flipc_obs.Metrics.summary_fields ~suffix:"_us" r.one_way

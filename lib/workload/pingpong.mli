@@ -54,3 +54,9 @@ val measure :
   exchanges:int ->
   unit ->
   result
+
+(** The result as flat JSON fields: the sizes, [exchanges],
+    [aggregate_one_way_us], [drops], then the one-way summary ([n],
+    [mean_us] ... [p99_us]); the per-exchange samples are left out. The
+    one field list every report of a ping-pong uses. *)
+val result_fields : result -> (string * Flipc_obs.Json.t) list
