@@ -29,10 +29,11 @@ let attach t cache =
 
 let caches t = Array.to_list t.caches
 
-let cache t port =
-  if port < 0 || port >= Array.length t.caches then
-    invalid_arg "Bus: bad port";
-  t.caches.(port)
+let bad_port () = invalid_arg "Bus: bad port" [@@inline never]
+
+let[@inline] cache t port =
+  if port < 0 || port >= Array.length t.caches then bad_port ();
+  Array.unsafe_get t.caches port
 
 let count_invalidation t line =
   match Hashtbl.find t.line_invalidations line with

@@ -21,8 +21,11 @@ type stats = {
 type t
 
 (** [create ~name ()] builds a cache. Defaults model the i860: 16 KB,
-    32-byte lines, 2-way set associative. [size_bytes] must be a multiple
-    of [line_bytes * assoc], and [line_bytes] a power of two. *)
+    32-byte lines, 2-way set associative. [line_bytes] must be a power of
+    two, [assoc] positive, and [size_bytes] a multiple of
+    [line_bytes * assoc] whose set count [size_bytes / (line_bytes * assoc)]
+    is a positive power of two, so that a line's set is a shift and a
+    mask; anything else raises [Invalid_argument "Cache.create: ..."]. *)
 val create :
   ?size_bytes:int -> ?line_bytes:int -> ?assoc:int -> name:string -> unit -> t
 
@@ -38,7 +41,8 @@ val reset_stats : t -> unit
 (** {1 Tag-store operations (used by {!Bus})}
 
     Lookups run on every simulated memory access, so they report absence
-    as [Invalid] rather than allocating an option. *)
+    as [Invalid] rather than allocating an option. A [line] is a line
+    address ({!line_addr}); no negative line is ever present. *)
 
 (** [find t ~line] is the state of [line], [Invalid] when it is absent. A
     hit counts as a use for LRU replacement. *)
@@ -49,7 +53,8 @@ val find : t -> line:int -> state
 val set_state : t -> line:int -> state -> unit
 
 (** [insert t ~line s] brings a line in with state [s], evicting the LRU way
-    of its set if needed. Returns the evicted line and state, if any. *)
+    of its set if needed. Returns the evicted line and state, if any.
+    Raises [Invalid_argument] if [line] is negative or [s] is [Invalid]. *)
 val insert : t -> line:int -> state -> (int * state) option
 
 (** [invalidate t ~line] drops the line and returns its prior state,

@@ -23,12 +23,12 @@ let cache t = t.cache
 
 let load t addr =
   t.loads <- t.loads + 1;
-  Engine.delay (Bus.read t.bus ~port:t.port ~addr);
+  Engine.delay_on t.engine (Bus.read t.bus ~port:t.port ~addr);
   Shared_mem.load_int t.mem addr
 
 let store t addr v =
   t.stores <- t.stores + 1;
-  Engine.delay (Bus.write t.bus ~port:t.port ~addr);
+  Engine.delay_on t.engine (Bus.write t.bus ~port:t.port ~addr);
   Shared_mem.store_int t.mem addr v
 
 let load_count t = t.loads
@@ -39,13 +39,13 @@ let reset_counts t =
   t.stores <- 0
 
 let test_and_set t addr =
-  Engine.delay (Bus.locked_rmw t.bus ~port:t.port ~addr);
+  Engine.delay_on t.engine (Bus.locked_rmw t.bus ~port:t.port ~addr);
   let old = Shared_mem.load_int t.mem addr in
   Shared_mem.store_int t.mem addr 1;
   old = 0
 
 let fetch_add t addr n =
-  Engine.delay (Bus.locked_rmw t.bus ~port:t.port ~addr);
+  Engine.delay_on t.engine (Bus.locked_rmw t.bus ~port:t.port ~addr);
   let old = Shared_mem.load_int t.mem addr in
   Shared_mem.store_int t.mem addr (old + n);
   old
@@ -65,16 +65,16 @@ let lines_cost t ~pos ~len ~write =
   !cost
 
 let read_bytes t ~pos ~len =
-  Engine.delay (lines_cost t ~pos ~len ~write:false);
+  Engine.delay_on t.engine (lines_cost t ~pos ~len ~write:false);
   Shared_mem.read_bytes t.mem ~pos ~len
 
 let write_bytes t ~pos b =
-  Engine.delay (lines_cost t ~pos ~len:(Bytes.length b) ~write:true);
+  Engine.delay_on t.engine (lines_cost t ~pos ~len:(Bytes.length b) ~write:true);
   Shared_mem.write_bytes t.mem ~pos b
 
 let instr t n =
   if n > 0 then
-    Engine.delay (n * (Bus.cost_model t.bus).Cost_model.instr_ns)
+    Engine.delay_on t.engine (n * (Bus.cost_model t.bus).Cost_model.instr_ns)
 
 let peek t addr = Shared_mem.load_int t.mem addr
 let poke t addr v = Shared_mem.store_int t.mem addr v

@@ -21,8 +21,12 @@ val load32 : t -> int -> int32
 
 val store32 : t -> int -> int32 -> unit
 
-(** [load_int]/[store_int] view the word as a non-negative OCaml int in
-    [0, 2^31); most FLIPC fields are small counters and offsets. *)
+(** [load_int]/[store_int] view the word as a non-negative OCaml int;
+    most FLIPC fields are small counters and offsets. [load_int] reads
+    [[0, 2^31)] and raises [Invalid_argument] on a word with the top bit
+    set; [store_int] writes [[0, 2^30)], that is up to [0x3FFFFFFF], and
+    raises [Invalid_argument] outside it, which is why counters that wrap
+    (scan stamps, drop counts) are masked to 30 bits. *)
 val load_int : t -> int -> int
 
 val store_int : t -> int -> int -> unit

@@ -11,6 +11,8 @@ type t = {
   mutable live : int;
   mutable steps : int;
   mutable failure : (string * exn) option;
+  mutable innermost : bool;
+      (* this engine's [run] is the innermost one executing on its domain *)
 }
 
 exception Process_failure of string * exn
@@ -36,6 +38,7 @@ let create () =
     live = 0;
     steps = 0;
     failure = None;
+    innermost = false;
   }
 
 let now t = t.now
@@ -131,13 +134,22 @@ let rec loop t =
         end
       end
 
+(* [innermost] mirrors [current]: it holds exactly for the engine in the
+   domain's slot while a run executes, so [delay_on] can trust it without
+   reading the slot. Clearing [outer]'s flag before setting [t]'s keeps
+   that true when the two are the same engine. *)
 let run ?until t =
   let outer = Domain.DLS.get current and outer_limit = t.limit in
+  let outer_innermost = outer.innermost and t_innermost = t.innermost in
+  outer.innermost <- false;
   Domain.DLS.set current t;
+  t.innermost <- true;
   t.limit <- Option.value until ~default:max_int;
   Fun.protect
     ~finally:(fun () ->
       t.limit <- outer_limit;
+      t.innermost <- t_innermost;
+      outer.innermost <- outer_innermost;
       Domain.DLS.set current outer)
     (fun () -> loop t)
 
@@ -146,8 +158,8 @@ let run ?until t =
    back: same order, same [now], one step. Do that in place. Outside any
    run [current] is idle, whose limit refuses, so the effect goes
    unhandled as before. *)
-let delay d =
-  let t = Domain.DLS.get current in
+let delay_on e d =
+  let t = if e.innermost then e else Domain.DLS.get current in
   let wake = t.now + d in
   if
     d >= 0 && wake <= t.limit
@@ -162,5 +174,6 @@ let delay d =
     Effect.perform Park
   end
 
+let delay d = delay_on (Domain.DLS.get current) d
 let yield () = delay 0
 let suspend register = Effect.perform (Suspend register)

@@ -60,6 +60,12 @@ exception Process_failure of string * exn
     and restores. *)
 val delay : Vtime.t -> unit
 
+(** [delay_on e d] is [delay d], for a caller that holds the engine it
+    runs on: when [e] is the innermost engine running on this domain it
+    skips the domain-local lookup, and otherwise it looks the engine up
+    as [delay] does. [e] must not be running on another domain. *)
+val delay_on : t -> Vtime.t -> unit
+
 (** [yield ()] is [delay Vtime.zero]: lets other events at the same time
     run before continuing. *)
 val yield : unit -> unit

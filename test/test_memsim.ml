@@ -17,10 +17,14 @@ let test_mem_roundtrip () =
   let m = Shared_mem.create ~size:256 in
   Shared_mem.store_int m 0 42;
   Shared_mem.store_int m 252 7;
+  Shared_mem.store_int m 128 0x3FFFFFFF;
   check "word 0" 42 (Shared_mem.load_int m 0);
   check "last word" 7 (Shared_mem.load_int m 252);
-  check "unwritten zero" 0 (Shared_mem.load_int m 100)
+  check "unwritten zero" 0 (Shared_mem.load_int m 100);
+  check "largest storable int" 0x3FFFFFFF (Shared_mem.load_int m 128)
 
+(* One test admits a word; a refused address is reported out of bounds
+   before misaligned, as when the two were checked one after the other. *)
 let test_mem_bounds () =
   let m = Shared_mem.create ~size:64 in
   Alcotest.check_raises "oob"
@@ -28,7 +32,14 @@ let test_mem_bounds () =
       ignore (Shared_mem.load_int m 64));
   Alcotest.check_raises "misaligned"
     (Invalid_argument "Shared_mem: address 2 misaligned") (fun () ->
-      ignore (Shared_mem.load_int m 2))
+      ignore (Shared_mem.load_int m 2));
+  Alcotest.check_raises "misaligned and past the end"
+    (Invalid_argument "Shared_mem: address 62 out of bounds") (fun () ->
+      ignore (Shared_mem.load_int m 62));
+  Alcotest.check_raises "negative"
+    (Invalid_argument "Shared_mem: address -4 out of bounds") (fun () ->
+      Shared_mem.store_int m (-4) 1);
+  check "last word loads" 0 (Shared_mem.load_int m 60)
 
 let test_mem_blocks () =
   let m = Shared_mem.create ~size:128 in
@@ -49,7 +60,10 @@ let test_mem_store_int_range () =
   let m = Shared_mem.create ~size:8 in
   Alcotest.check_raises "negative"
     (Invalid_argument "Shared_mem.store_int: out of range") (fun () ->
-      Shared_mem.store_int m 0 (-1))
+      Shared_mem.store_int m 0 (-1));
+  Alcotest.check_raises "past 30 bits"
+    (Invalid_argument "Shared_mem.store_int: out of range") (fun () ->
+      Shared_mem.store_int m 0 0x40000000)
 
 (* --- Cache --- *)
 
@@ -115,6 +129,139 @@ let test_cache_set_conflict () =
   (* The untouched other set is unaffected. *)
   ignore (Cache.insert c ~line:32 Cache.Shared);
   check_bool "other set intact" true (Cache.find c ~line:32 = Cache.Shared)
+
+(* A set count that is not a positive power of two cannot be indexed by
+   a mask: zero and negative sizes, and three sets. *)
+let test_cache_create_rejects () =
+  let rejects label f =
+    Alcotest.check_raises label
+      (Invalid_argument
+         "Cache.create: set count must be a positive power of two") (fun () ->
+        ignore (f () : Cache.t))
+  in
+  rejects "zero size" (fun () -> Cache.create ~size_bytes:0 ~name:"t" ());
+  rejects "negative size" (fun () -> Cache.create ~size_bytes:(-64) ~name:"t" ());
+  rejects "three sets" (fun () ->
+      Cache.create ~size_bytes:96 ~line_bytes:32 ~assoc:1 ~name:"t" ())
+
+(* A reference model of one cache: each set is a list of (line, state),
+   most recently used first, and a line's set is [(line / 32) mod n_sets]. *)
+module Lru_model = struct
+  type t = {
+    assoc : int;
+    sets : (int * Cache.state) list array;
+    mutable evictions : int;
+    mutable writebacks : int;
+  }
+
+  let create ~assoc ~n_sets =
+    { assoc; sets = Array.make n_sets []; evictions = 0; writebacks = 0 }
+
+  let set m line = (line / 32) mod Array.length m.sets
+  let present m line = List.mem_assoc line m.sets.(set m line)
+
+  let use m line state =
+    let s = set m line in
+    m.sets.(s) <- (line, state) :: List.remove_assoc line m.sets.(s)
+
+  let find m line =
+    match List.assoc_opt line m.sets.(set m line) with
+    | None -> Cache.Invalid
+    | Some state ->
+        use m line state;
+        state
+
+  let insert m line state =
+    let s = set m line in
+    let ways = m.sets.(s) in
+    if List.mem_assoc line ways || List.length ways < m.assoc then begin
+      use m line state;
+      None
+    end
+    else begin
+      let lru = List.nth ways (m.assoc - 1) in
+      m.evictions <- m.evictions + 1;
+      if snd lru = Cache.Modified then m.writebacks <- m.writebacks + 1;
+      m.sets.(s) <- (line, state) :: List.filteri (fun i _ -> i < m.assoc - 1) ways;
+      Some lru
+    end
+
+  let invalidate m line =
+    let s = set m line in
+    match List.assoc_opt line m.sets.(s) with
+    | None -> Cache.Invalid
+    | Some state ->
+        m.sets.(s) <- List.remove_assoc line m.sets.(s);
+        state
+
+  let flush m =
+    let dirty = ref 0 in
+    Array.iteri
+      (fun s ways ->
+        List.iter (fun (_, st) -> if st = Cache.Modified then incr dirty) ways;
+        m.sets.(s) <- [])
+      m.sets;
+    !dirty
+end
+
+(* 1, 2 and 4 ways by 1, 2 and 8 sets, and the 256-set 2-way default. *)
+let model_geometries =
+  (2, 256) :: List.concat_map (fun a -> List.map (fun s -> (a, s)) [ 1; 2; 8 ]) [ 1; 2; 4 ]
+
+(* Lines in sets 0, 1 and the last, with two more tags per set than it
+   has ways, so that sets fill and evict. *)
+let model_line ~assoc ~n_sets pick =
+  let set = [| 0; 1; n_sets - 1 |].(pick mod 3) mod n_sets in
+  let tag = pick / 3 mod (assoc + 2) in
+  ((tag * n_sets) + set) * 32
+
+let model_states = [| Cache.Shared; Cache.Exclusive; Cache.Modified |]
+
+(* Every return value and every statistic of the flat cache equals the
+   model's after each operation: [find], [insert], [set_state] on present
+   lines, [invalidate] and [flush], for every geometry above. *)
+let cache_model_prop =
+  QCheck.Test.make ~name:"cache matches a list-per-set LRU model" ~count:200
+    QCheck.(list (triple (int_bound 19) (int_bound 59) (int_bound 2)))
+    (fun ops ->
+      List.for_all
+        (fun (assoc, n_sets) ->
+          let c =
+            Cache.create ~size_bytes:(n_sets * assoc * 32) ~line_bytes:32
+              ~assoc ~name:"c" ()
+          in
+          let m = Lru_model.create ~assoc ~n_sets in
+          List.for_all
+            (fun (op, pick, st) ->
+              let line = model_line ~assoc ~n_sets pick in
+              let state = model_states.(st) in
+              let same =
+                if op < 7 then Cache.find c ~line = Lru_model.find m line
+                else if op < 14 then
+                  Cache.insert c ~line state = Lru_model.insert m line state
+                else if op < 17 && Lru_model.present m line then begin
+                  Cache.set_state c ~line state;
+                  Lru_model.use m line state;
+                  true
+                end
+                else if op < 17 then Cache.find c ~line = Lru_model.find m line
+                else if op < 19 then
+                  Cache.invalidate c ~line = Lru_model.invalidate m line
+                else Cache.flush c = Lru_model.flush m
+              in
+              same
+              && Cache.stats c
+                 = {
+                     Cache.hits = 0;
+                     misses = 0;
+                     invalidations_received = 0;
+                     invalidations_caused = 0;
+                     writebacks = m.Lru_model.writebacks;
+                     evictions = m.Lru_model.evictions;
+                     locked_rmws = 0;
+                   })
+            ops)
+        model_geometries)
 
 (* --- Bus / MESI --- *)
 
@@ -335,6 +482,9 @@ let () =
             test_cache_dirty_eviction_counts_writeback;
           Alcotest.test_case "flush" `Quick test_cache_flush;
           Alcotest.test_case "set conflict" `Quick test_cache_set_conflict;
+          Alcotest.test_case "create rejects unindexable geometry" `Quick
+            test_cache_create_rejects;
+          QCheck_alcotest.to_alcotest cache_model_prop;
         ] );
       ( "bus",
         [

@@ -322,6 +322,43 @@ let test_delay_after_nested_run () =
   check "inner clock" 4 (Engine.now inner);
   check "outer clock" 17 (Engine.now outer)
 
+(* [delay_on e] is [delay] whichever engine it is handed: inside a
+   nested run it delays on the inner engine even when handed the outer
+   one, after the nested run (or its failure) on the outer engine even
+   when handed the inner one, and outside any run it is unhandled. *)
+let test_delay_on_nested () =
+  let outer = Engine.create () and inner = Engine.create () in
+  let log = ref [] in
+  let note what t = log := (what, Engine.now t) :: !log in
+  Engine.spawn outer (fun () ->
+      Engine.delay_on outer 10;
+      Engine.spawn inner (fun () ->
+          Engine.delay_on outer 3;
+          Engine.delay_on inner 1;
+          note "inner" inner);
+      Engine.run inner;
+      Engine.delay_on inner 5;
+      note "outer" outer;
+      Engine.spawn ~name:"boom" inner (fun () ->
+          Engine.delay_on inner 1;
+          failwith "bang");
+      (match Engine.run inner with
+      | () -> note "no failure" inner
+      | exception Engine.Process_failure ("boom", _) -> ());
+      Engine.delay_on inner 2;
+      note "outer after failure" outer);
+  Engine.spawn outer (fun () ->
+      Engine.delay_on outer 12;
+      note "outer peer" outer);
+  Engine.run outer;
+  Alcotest.(check (list (pair string int)))
+    "each delay on the running engine"
+    [ ("inner", 4); ("outer peer", 12); ("outer", 15); ("outer after failure", 17) ]
+    (List.rev !log);
+  check "inner clock" 5 (Engine.now inner);
+  check "outer clock" 17 (Engine.now outer);
+  expect_unhandled "delay_on outside a run" (fun () -> Engine.delay_on outer 0)
+
 (* The fast path allocates nothing: no effect, no continuation, no heap
    entry. The bound leaves room for the two boxed floats of the
    measurement itself. *)
@@ -788,6 +825,8 @@ let () =
           Alcotest.test_case "handoff chain in constant stack" `Quick
             test_handoff_constant_stack;
           QCheck_alcotest.to_alcotest engine_matches_reference_dense_prop;
+          Alcotest.test_case "delay_on in nested runs" `Quick
+            test_delay_on_nested;
         ] );
       ( "sync",
         [
