@@ -423,13 +423,14 @@ let acquire_burst t ep ~out =
   if max = 0 then 0
   else
     with_lock t ~ep:ep.index (fun () ->
-        let addrs = Array.make max 0 in
+        (* A buffer is its index, an int: the queue's addresses land in
+           [out] and become indices in place, so a call allocates no
+           scratch array. *)
         let n =
-          Buffer_queue.app_acquire_burst t.port t.layout ~ep:ep.index ~max
-            ~out:addrs
+          Buffer_queue.app_acquire_burst t.port t.layout ~ep:ep.index ~max ~out
         in
         for i = 0 to n - 1 do
-          match Layout.buffer_of_addr t.layout addrs.(i) with
+          match Layout.buffer_of_addr t.layout out.(i) with
           | Some buf -> out.(i) <- buf
           | None -> invalid_arg "Api: corrupt buffer pointer in own queue"
         done;

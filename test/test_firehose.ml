@@ -496,6 +496,33 @@ let test_wallclock_slices () =
     (List.fold_left (fun n r -> n + sojourns r) 0 w.Firehose.per_domain)
     (Flipc_obs.Sketch.count w.Firehose.merged_sojourn_us)
 
+(* The words allocated by [n] empty [receive_burst] calls into an [out]
+   of length [max], on a fresh two-node machine. *)
+let empty_receive_words ~max =
+  let machine =
+    Machine.create ~config:Config.default (Machine.Mesh { cols = 2; rows = 1 }) ()
+  in
+  let words = ref nan in
+  Machine.spawn_app ~name:"rx" machine ~node:1 (fun api ->
+      let ep = ok (Api.allocate_endpoint api ~kind:Endpoint_kind.Recv ()) in
+      let out = Array.make max (ok (Api.allocate_buffer api)) in
+      ignore (Api.receive_burst api ep ~out : int);
+      let before = Gc.minor_words () in
+      for _ = 1 to 100 do
+        ignore (Api.receive_burst api ep ~out : int)
+      done;
+      words := Gc.minor_words () -. before);
+  finish machine;
+  !words
+
+(* A receive burst fills [out] in place: an empty call allocates no
+   scratch array, so its cost in words does not grow with [out]. Both
+   machines run the same schedule, so everything else they allocate is
+   the same. *)
+let test_empty_receive_burst_allocation () =
+  let w8 = empty_receive_words ~max:8 and w64 = empty_receive_words ~max:64 in
+  Alcotest.(check (float 0.)) "words of 100 empty calls, max 8 vs 64" w8 w64
+
 let () =
   Alcotest.run "firehose"
     [
@@ -505,6 +532,8 @@ let () =
           QCheck_alcotest.to_alcotest faulted_batch_prop;
           Alcotest.test_case "batched path: overrun triples pinned" `Quick
             test_batched_fifo_pinned;
+          Alcotest.test_case "empty receive burst: no scratch array" `Quick
+            test_empty_receive_burst_allocation;
         ] );
       ( "doorbell",
         [
