@@ -1,8 +1,9 @@
 (** Stable binary min-heap on [int] keys.
 
-    Keys, push sequence numbers and values live in three parallel arrays,
-    so a push or pop allocates nothing (beyond the occasional doubling of
-    the arrays). Equal keys pop in push order: the simulator's event queue
+    Keys and push sequence numbers live in parallel int arrays with the
+    number of the slot that holds each value, so a push or pop allocates
+    nothing (beyond the occasional doubling of the arrays) and a sift
+    moves only ints. Equal keys pop in push order: the simulator's event queue
     keys by virtual time and relies on this for first-in first-out order
     among simultaneous events; the real-time scheduler keys by negated
     priority for first-come first-served order within a priority.
